@@ -10,15 +10,14 @@
 //!
 //! [`BankedMemorySystem`] scales this to a multi-SM chip: the L2 capacity and
 //! DRAM bandwidth are sharded across address-interleaved banks, each bank a
-//! full [`MemoryPartition`] behind a `parking_lot` lock, so concurrent SM
-//! engines contend for L2 sets and DRAM row buffers the way the paper's
-//! 15-SM machine does instead of each SM owning a private slice.
+//! full [`MemoryPartition`], so co-running SM engines contend for L2 sets and
+//! DRAM row buffers the way the paper's 15-SM machine does instead of each SM
+//! owning a private slice.
 
 use crate::addr::{block_addr, Addr};
 use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::{Cycle, TenantId, WarpId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim_obs::{Histogram, TraceEvent, TraceRecorder, Tracer, Track};
 
@@ -320,14 +319,10 @@ impl MemoryPartition {
 }
 
 /// The chip-level memory-side backend shared by every SM: `num_banks`
-/// address-interleaved (L2 slice + DRAM channel) partitions, each behind its
-/// own lock. Accesses to the same bank serialise — which is exactly where
-/// inter-SM L2 contention and DRAM row-buffer interference come from. The
-/// chip engine shards each epoch's sorted request batch by bank and serves
-/// the shards on concurrent worker threads ([`BankedMemorySystem::with_bank`]
-/// locks a bank once per shard); because shards are disjoint and each bank's
-/// service order is fixed by the batch sort, results are bit-identical for
-/// any worker count.
+/// address-interleaved (L2 slice + DRAM channel) partitions. Accesses to the
+/// same bank serialise — which is exactly where inter-SM L2 contention and
+/// DRAM row-buffer interference come from. Banks share no state, so only
+/// the order of requests *within* a bank affects results.
 ///
 /// The configuration passed to [`BankedMemorySystem::new`] describes the
 /// whole chip; capacity and bandwidth are divided evenly across banks. With
@@ -336,7 +331,7 @@ impl MemoryPartition {
 /// private-partition path.
 #[derive(Debug)]
 pub struct BankedMemorySystem {
-    banks: Vec<Mutex<MemoryPartition>>,
+    banks: Vec<MemoryPartition>,
     line_size: u64,
 }
 
@@ -351,8 +346,7 @@ impl BankedMemorySystem {
         bank_cfg.l2.size_bytes = (bank_cfg.l2.size_bytes / num_banks as u64).max(min_size);
         bank_cfg.dram.bytes_per_cycle /= num_banks as f64;
         let line_size = bank_cfg.l2.line_size;
-        let banks =
-            (0..num_banks).map(|_| Mutex::new(MemoryPartition::new(bank_cfg.clone()))).collect();
+        let banks = (0..num_banks).map(|_| MemoryPartition::new(bank_cfg.clone())).collect();
         BankedMemorySystem { banks, line_size }
     }
 
@@ -376,58 +370,13 @@ impl BankedMemorySystem {
         ((block_addr(addr) / self.line_size) % self.banks.len() as u64) as usize
     }
 
-    /// Serves a read or write arriving at the L2 at cycle `now` on behalf of
-    /// warp `wid`; returns the completion cycle at the bank's output port.
-    /// Attributed to tenant 0 — multi-tenant engines use
-    /// [`BankedMemorySystem::access_tagged`].
-    pub fn access(&self, addr: Addr, wid: WarpId, is_write: bool, now: Cycle) -> Cycle {
-        self.access_tagged(addr, wid, 0, is_write, now)
-    }
-
-    /// [`BankedMemorySystem::access`] with explicit tenant attribution: the
-    /// serving bank charges the L2 lookup and any DRAM fetch to `tenant`.
-    /// Timing is identical to the untagged path.
-    pub fn access_tagged(
-        &self,
-        addr: Addr,
-        wid: WarpId,
-        tenant: TenantId,
-        is_write: bool,
-        now: Cycle,
-    ) -> Cycle {
-        self.banks[self.bank_of(addr)].lock().access_tagged(addr, wid, tenant, is_write, now)
-    }
-
-    /// Serves a request that bypasses the L2 and goes straight to the bank's
-    /// DRAM channel (statPCAL bypass path). Attributed to tenant 0.
-    pub fn access_bypass(&self, addr: Addr, now: Cycle) -> Cycle {
-        self.access_bypass_tagged(addr, 0, now)
-    }
-
-    /// [`BankedMemorySystem::access_bypass`] with explicit tenant attribution.
-    pub fn access_bypass_tagged(&self, addr: Addr, tenant: TenantId, now: Cycle) -> Cycle {
-        self.banks[self.bank_of(addr)].lock().access_bypass_tagged(addr, tenant, now)
-    }
-
-    /// Locks bank `idx` once and runs `f` against the partition — the bulk
-    /// entry point shard workers use to serve a whole per-bank request run
-    /// without re-taking the lock per request. Callers are responsible for
-    /// routing only that bank's addresses through `f` (use
-    /// [`BankedMemorySystem::bank_of`]).
-    pub fn with_bank<R>(&self, idx: usize, f: impl FnOnce(&mut MemoryPartition) -> R) -> R {
-        f(&mut self.banks[idx].lock())
-    }
-
-    /// Event-granular service entry point: serves one tagged access (normal
-    /// or L2-bypassing) at its owning bank in a single call, returning the
-    /// completion cycle at the bank's output port. Identical in every
-    /// counter and cycle to routing the access through
-    /// [`BankedMemorySystem::with_bank`] as part of a per-bank shard run —
-    /// this is the request-at-a-time shape the event-driven engine (and the
-    /// serial service path) uses, while bulk shard workers amortise the bank
-    /// lock with `with_bank` instead.
-    pub fn serve_event(
-        &self,
+    /// Serves one access arriving at the L2 side at cycle `at` on behalf of
+    /// warp `wid` at its owning bank, and returns the completion cycle at
+    /// the bank's output port. The bank charges the L2 lookup and any DRAM
+    /// fetch to `tenant`; a `bypass` access skips the L2 and goes straight
+    /// to the bank's DRAM channel (the statPCAL path).
+    pub fn serve(
+        &mut self,
         addr: Addr,
         wid: WarpId,
         tenant: TenantId,
@@ -435,61 +384,35 @@ impl BankedMemorySystem {
         bypass: bool,
         at: Cycle,
     ) -> Cycle {
-        self.with_bank(self.bank_of(addr), |partition| {
-            if bypass {
-                partition.access_bypass_tagged(addr, tenant, at)
-            } else {
-                partition.access_tagged(addr, wid, tenant, is_write, at)
-            }
-        })
-    }
-
-    /// [`BankedMemorySystem::serve_event`] with the owning bank already
-    /// resolved by the caller. The event engine routes requests through
-    /// per-bank FIFOs keyed by [`BankedMemorySystem::bank_of`] and pops them
-    /// one at a time as each bank's next service instant comes due; passing
-    /// the bank index back in skips re-hashing the address.
-    #[allow(clippy::too_many_arguments)] // mirrors `serve_event` plus the pre-resolved bank
-    pub fn serve_event_at(
-        &self,
-        bank: usize,
-        addr: Addr,
-        wid: WarpId,
-        tenant: TenantId,
-        is_write: bool,
-        bypass: bool,
-        at: Cycle,
-    ) -> Cycle {
-        debug_assert_eq!(bank, self.bank_of(addr));
-        self.with_bank(bank, |partition| {
-            if bypass {
-                partition.access_bypass_tagged(addr, tenant, at)
-            } else {
-                partition.access_tagged(addr, wid, tenant, is_write, at)
-            }
-        })
+        let bank = self.bank_of(addr);
+        let partition = &mut self.banks[bank];
+        if bypass {
+            partition.access_bypass_tagged(addr, tenant, at)
+        } else {
+            partition.access_tagged(addr, wid, tenant, is_write, at)
+        }
     }
 
     /// Attaches an observability sink to every bank (per-tenant latency
     /// histograms; per-request trace spans too when `trace_on`). Bank `i`
     /// records on trace track `Bank(i)`.
-    pub fn enable_obs(&self, trace_on: bool) {
-        for (i, bank) in self.banks.iter().enumerate() {
-            bank.lock().enable_obs(i as u32, trace_on);
+    pub fn enable_obs(&mut self, trace_on: bool) {
+        for (i, bank) in self.banks.iter_mut().enumerate() {
+            bank.enable_obs(i as u32, trace_on);
         }
     }
 
     /// Detaches and returns every bank's observability sink, in bank order
     /// (empty when [`BankedMemorySystem::enable_obs`] was never called).
-    pub fn collect_obs(&self) -> Vec<Box<PartitionObs>> {
-        self.banks.iter().filter_map(|bank| bank.lock().take_obs()).collect()
+    pub fn collect_obs(&mut self) -> Vec<Box<PartitionObs>> {
+        self.banks.iter_mut().filter_map(MemoryPartition::take_obs).collect()
     }
 
     /// Chip-level statistics, aggregated across banks.
     pub fn stats(&self) -> PartitionStats {
         let mut total = PartitionStats::default();
         for bank in &self.banks {
-            total.merge(&bank.lock().stats());
+            total.merge(&bank.stats());
         }
         total
     }
@@ -499,7 +422,7 @@ impl BankedMemorySystem {
     pub fn tenant_stats(&self) -> Vec<TenantMemStats> {
         let mut total: Vec<TenantMemStats> = Vec::new();
         for bank in &self.banks {
-            merge_tenant_stats(&mut total, bank.lock().tenant_stats());
+            merge_tenant_stats(&mut total, bank.tenant_stats());
         }
         total
     }
@@ -512,7 +435,6 @@ impl BankedMemorySystem {
         let mut bytes = 0u64;
         let mut capacity = 0.0;
         for bank in &self.banks {
-            let bank = bank.lock();
             bytes += bank.stats().dram.bytes_transferred;
             capacity += bank.config().dram.bytes_per_cycle * now as f64;
         }
@@ -524,9 +446,9 @@ impl BankedMemorySystem {
     }
 
     /// Invalidates every bank (between kernels) and resets timing state.
-    pub fn reset(&self) {
-        for bank in &self.banks {
-            bank.lock().reset();
+    pub fn reset(&mut self) {
+        for bank in &mut self.banks {
+            bank.reset();
         }
     }
 }
@@ -580,12 +502,12 @@ mod tests {
     #[test]
     fn single_bank_system_matches_private_partition() {
         let cfg = PartitionConfig::gtx480();
-        let shared = BankedMemorySystem::new(cfg.clone(), 1);
+        let mut shared = BankedMemorySystem::new(cfg.clone(), 1);
         let mut private = MemoryPartition::new(cfg);
         let addrs = [0x1000u64, 0x2000, 0x1000, 0x40_0000, 0x2000, 0x123456];
         let mut now = 0;
         for &a in &addrs {
-            let d1 = shared.access(a, 3, false, now);
+            let d1 = shared.serve(a, 3, 0, false, false, now);
             let d2 = private.access(a, 3, false, now);
             assert_eq!(d1, d2, "bank=1 system must be timing-identical to one partition");
             now = d1 + 5;
@@ -600,7 +522,7 @@ mod tests {
 
     #[test]
     fn banks_interleave_lines_and_aggregate_stats() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
         assert_eq!(sys.num_banks(), 4);
         // Consecutive 128-byte lines land on consecutive banks.
         let line = 128u64;
@@ -608,7 +530,7 @@ mod tests {
             assert_eq!(sys.bank_of(i * line), (i % 4) as usize);
         }
         for i in 0..16u64 {
-            sys.access(i * line, 0, false, 0);
+            sys.serve(i * line, 0, 0, false, false, 0);
         }
         let s = sys.stats();
         assert_eq!(s.l2.accesses(), 16);
@@ -621,14 +543,14 @@ mod tests {
         let one = BankedMemorySystem::for_chip(slice.clone(), 1, 1);
         let chip = BankedMemorySystem::for_chip(slice, 1, 15);
         // Bypass stream of row hits: bus-bound, so 15x bandwidth finishes sooner.
-        let run = |sys: &BankedMemorySystem| {
+        let run = |mut sys: BankedMemorySystem| {
             let mut last = 0;
             for i in 0..256u64 {
-                last = sys.access_bypass(i * 128 % 2048, 0);
+                last = sys.serve(i * 128 % 2048, 0, 0, false, true, 0);
             }
             last
         };
-        assert!(run(&chip) < run(&one));
+        assert!(run(chip) < run(one));
     }
 
     #[test]
@@ -655,19 +577,20 @@ mod tests {
 
     #[test]
     fn banked_tenant_stats_aggregate_across_banks() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
         for i in 0..8u64 {
             // Lines interleave across all four banks; odd lines to tenant 1.
-            sys.access_tagged(i * 128, 0, (i % 2) as TenantId, false, 0);
+            sys.serve(i * 128, 0, (i % 2) as TenantId, false, false, 0);
         }
         let t = sys.tenant_stats();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].l2_accesses, 4);
         assert_eq!(t[1].l2_accesses, 4);
         assert_eq!(sys.stats().l2.accesses(), 8);
-        // Untagged access is attributed to tenant 0.
-        sys.access(0x9000, 0, false, 0);
-        assert_eq!(sys.tenant_stats()[0].l2_accesses, 5);
+        // A bypass is charged to its tenant's DRAM traffic, not its L2 use.
+        sys.serve(0x9000, 0, 1, false, true, 0);
+        assert_eq!(sys.tenant_stats()[1].l2_accesses, 4);
+        assert_eq!(sys.tenant_stats()[1].dram_accesses, 5);
     }
 
     #[test]
@@ -689,9 +612,9 @@ mod tests {
 
     #[test]
     fn banked_system_reset_clears_stats() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 2);
-        sys.access(0, 0, false, 0);
-        sys.access_bypass(128, 0);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 2);
+        sys.serve(0, 0, 0, false, false, 0);
+        sys.serve(128, 0, 0, false, true, 0);
         assert!(sys.stats().requests == 2);
         sys.reset();
         assert_eq!(sys.stats().requests, 0);
@@ -735,10 +658,10 @@ mod tests {
 
     #[test]
     fn banked_obs_collects_per_bank_sinks() {
-        let sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
+        let mut sys = BankedMemorySystem::new(PartitionConfig::gtx480(), 4);
         sys.enable_obs(false);
         for i in 0..8u64 {
-            sys.access(i * 128, 0, false, 0);
+            sys.serve(i * 128, 0, 0, false, false, 0);
         }
         let sinks = sys.collect_obs();
         assert_eq!(sinks.len(), 4);

@@ -29,26 +29,22 @@ pub struct GpuConfig {
     /// private partition, which is what keeps a 1-SM chip bit-identical to
     /// the legacy path).
     pub l2_banks: usize,
-    /// Number of cycles every SM advances per barrier-synchronised epoch in
-    /// multi-SM runs. The engine clamps this to *half* the minimum SM→L2
-    /// round trip (see [`GpuConfig::effective_epoch_cycles`]) so that the
-    /// barrier service of one epoch's requests can overlap the next epoch's
-    /// parallel SM phase: every response computed while epoch `k+1` runs
-    /// still completes at or after the *following* epoch's start. Results are
-    /// deterministic and independent of worker-thread count either way.
+    /// Number of cycles between the engine's epoch boundaries in multi-SM
+    /// runs: the granularity at which SM request buffers are collected,
+    /// batches are served and replies are delivered. The engine clamps this
+    /// to *half* the minimum SM→L2 round trip (see
+    /// [`GpuConfig::effective_epoch_cycles`]) so that a request collected at
+    /// one boundary and served at the next still completes at or after the
+    /// boundary that delivers it.
     pub epoch_cycles: Cycle,
     /// Aggregate chip-wide crossbar bandwidth *per direction* (SM→L2
     /// requests, L2→SM replies) in bytes per cycle — the shared-fabric budget
     /// concurrent SMs queue against once past their private injection ports.
     /// Default 480 = 15 SMs × 32 B/cycle/SM (Table I aggregate).
     pub xbar_chip_bytes_per_cycle: f64,
-    /// Worker threads for the barrier-phase bank-sharded memory service
-    /// (`0` = auto-size from host parallelism). Purely a wall-clock knob:
-    /// results are bit-identical for every value.
-    pub service_threads: usize,
     /// Maximum number of late-arriving requests carried across an epoch
     /// boundary by the cross-epoch reorder window (requests whose
-    /// interconnect arrival lands beyond the barrier's merge horizon are held
+    /// interconnect arrival lands beyond the boundary's merge horizon are held
     /// so they interleave with the next epoch's batch in true arrival order).
     /// Overflow beyond the bound falls back to batch-major service.
     pub reorder_window: usize,
@@ -90,7 +86,6 @@ impl GpuConfig {
             l2_banks: 6,
             epoch_cycles: 64,
             xbar_chip_bytes_per_cycle: 480.0,
-            service_threads: 0,
             reorder_window: 4096,
             max_warps_per_sm: 48,
             warp_size: 32,
@@ -163,10 +158,10 @@ impl GpuConfig {
     /// trip. The round trip floors at the cheaper of the L2-hit path
     /// (`l2_latency`) and the L2-bypass path (`dram.base_latency + t_cl`), on
     /// top of the interconnect traversal. Halving it is what lets the engine
-    /// pipeline: requests drained at epoch boundary `k` are served *while*
-    /// epoch `k+1` runs and delivered at boundary `k+1`, and any response
-    /// still completes at or after epoch `k+2`'s start — never in an SM's
-    /// past.
+    /// pipeline: a request issued during epoch `k` is collected at the
+    /// boundary closing it and served and delivered at the next boundary,
+    /// and its response still completes at or after that delivering
+    /// boundary — never in an SM's past.
     pub fn effective_epoch_cycles(&self) -> Cycle {
         let min_service = self
             .partition
@@ -174,24 +169,6 @@ impl GpuConfig {
             .min(self.partition.dram.base_latency + self.partition.dram.t_cl);
         let round_trip = self.interconnect_latency + min_service;
         self.epoch_cycles.clamp(1, (round_trip / 2).max(1))
-    }
-
-    /// The number of worker threads the epoch-barrier bank service uses:
-    /// [`GpuConfig::service_threads`], or an auto-sized value from host
-    /// parallelism when it is `0`. Purely a wall-clock knob — service results
-    /// are bit-identical for every value.
-    pub fn effective_service_threads(&self) -> usize {
-        if self.service_threads > 0 {
-            self.service_threads
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-        }
-    }
-
-    /// Returns a copy with the barrier-service worker-thread count set.
-    pub fn with_service_threads(mut self, threads: usize) -> Self {
-        self.service_threads = threads;
-        self
     }
 
     /// Returns a copy with the cross-epoch reorder-window bound set.
@@ -302,6 +279,7 @@ mod tests {
         assert_eq!(c.num_sms, 4);
         assert_eq!(c.l2_banks, 6);
         assert_eq!(GpuConfig::gtx480().with_num_sms(0).num_sms, 1);
+        assert_eq!(GpuConfig::gtx480().with_reorder_window(16).reorder_window, 16);
     }
 
     #[test]
@@ -322,14 +300,6 @@ mod tests {
         let mut zero = c;
         zero.epoch_cycles = 0;
         assert_eq!(zero.effective_epoch_cycles(), 1);
-    }
-
-    #[test]
-    fn service_threads_auto_sizes_but_never_zero() {
-        let auto = GpuConfig::gtx480();
-        assert!(auto.effective_service_threads() >= 1);
-        assert_eq!(auto.with_service_threads(3).effective_service_threads(), 3);
-        assert_eq!(GpuConfig::gtx480().with_reorder_window(16).reorder_window, 16);
     }
 
     #[test]

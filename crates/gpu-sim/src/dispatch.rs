@@ -45,10 +45,10 @@
 //!
 //! Every static policy is a pure function of `(streams, num_sms)`:
 //! assignment lists are computed up front, before any simulation, and the
-//! engine's barrier-synchronised epoch scheme (see [`crate::gpu`]) keeps
-//! execution deterministic regardless of worker-thread scheduling. The
-//! adaptive policy decides at epoch boundaries from barrier-time statistics
-//! only, so it is equally deterministic. Two runs of the same mix under the
+//! engine's epoch-boundary loop (see [`crate::gpu`]) is single-threaded and
+//! ordered by simulated time. The adaptive policy decides at epoch
+//! boundaries from boundary-time statistics only, so it is equally
+//! deterministic. Two runs of the same mix under the
 //! same policy produce identical results, and changing the policy changes
 //! only the CTA placement, never the per-warp traces.
 
@@ -719,10 +719,9 @@ impl TenantEntry {
 /// multiplier grows too. Multiplicative shrink with hysteresis-gated growth
 /// keeps the controller from ping-ponging.
 ///
-/// Every quantity the dispatcher reads is sampled at the deterministic epoch
-/// barrier, so its decisions — and therefore the whole run — are a pure
-/// function of the streams and the configuration, independent of worker
-/// threading.
+/// Every quantity the dispatcher reads is sampled at a deterministic epoch
+/// boundary, so its decisions — and therefore the whole run — are a pure
+/// function of the streams and the configuration.
 pub struct AdaptiveDispatcher {
     num_sms: usize,
     max_warps_per_sm: usize,
@@ -1262,10 +1261,10 @@ impl KernelQueue {
     }
 
     /// [`KernelQueue::run`] with an explicit [`crate::event::BackendKind`]
-    /// timing backend driving every engine the queue spins up (the one
-    /// concurrent engine, or each serial `Exclusive` engine). Both backends
-    /// produce bit-identical results; the chosen backend's label is recorded
-    /// in [`SimResult::backend`].
+    /// timing mode driving every engine the queue spins up (the one
+    /// concurrent engine, or each serial `Exclusive` engine). Both modes
+    /// produce bit-identical results; the chosen mode's label is recorded in
+    /// [`SimResult::backend`].
     pub fn run_with<F>(
         &self,
         config: &GpuConfig,
@@ -1298,13 +1297,12 @@ impl KernelQueue {
         F: FnMut(usize) -> SmUnit,
     {
         assert!(!self.streams.is_empty(), "a kernel queue needs at least one stream");
-        let driver = backend.backend();
         let num_sms = config.num_sms.max(1);
         if policy.is_concurrent() || self.streams.len() == 1 {
             let units = (0..num_sms).map(&mut build_unit).collect();
             let mut gpu = Gpu::with_streams(config.clone(), self.streams.clone(), policy, units);
             gpu.set_obs(obs);
-            driver.drive(&mut gpu);
+            gpu.run(backend);
             let report = gpu.take_obs();
             let mut res = gpu.into_result();
             res.policy = policy.label().to_string();
@@ -1322,7 +1320,7 @@ impl KernelQueue {
             let units = (0..num_sms).map(&mut build_unit).collect();
             let mut gpu = Gpu::with_streams(config.clone(), vec![solo], policy, units);
             gpu.set_obs(obs);
-            driver.drive(&mut gpu);
+            gpu.run(backend);
             let mut run_report = gpu.take_obs();
             run_report.relabel_tenant(0, k as u32);
             run_report.shift_cycles(start);
@@ -1623,7 +1621,7 @@ mod tests {
                 load_kernel("k", 4, 10),
                 (0..2).map(|i| gto_units()(i)).collect(),
             );
-            gpu.run();
+            gpu.run(crate::event::BackendKind::Event);
             gpu.into_result()
         };
         for policy in DispatchPolicy::all() {

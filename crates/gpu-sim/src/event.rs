@@ -1,71 +1,45 @@
-//! Timing backends: the strategy objects that advance a [`Gpu`] to
-//! completion.
+//! Timing modes of the chip engine.
 //!
-//! The simulator has two interchangeable timing cores producing bit-identical
-//! results:
+//! [`crate::Gpu::run`] is one epoch-boundary loop with two settings that
+//! produce bit-identical results:
 //!
-//! * **Epoch** ([`EpochBackend`], [`Gpu::run`]) — the reference oracle. Every
-//!   SM steps every cycle; multi-SM chips run the SM loops on parallel
-//!   threads synchronised at epoch boundaries.
-//! * **Event** ([`EventBackend`], [`Gpu::run_event`]) — the event-driven
-//!   core. SMs advance to their *next event* (warp wakeup, reply delivery,
-//!   dispatch boundary), skipping provably idle cycles in bulk, and the chip
-//!   advances single-threaded in the deterministic `(time, unit, seq)` order
-//!   of a [`crate::timeq::TimeQueue`]. Much faster on memory-bound workloads
-//!   whose SMs spend most cycles stalled, and trivially independent of host
-//!   thread count.
+//! * **Event** ([`BackendKind::Event`], the default) — SMs are parked in a
+//!   [`crate::timeq::TimeQueue`] and advance only when their *next event*
+//!   (warp wakeup, reply delivery, dispatch) is due, skipping provably idle
+//!   cycles in bulk; when nothing at all is due the whole chip sleeps
+//!   through boundaries in closed form. Much faster on memory-bound
+//!   workloads whose SMs spend most cycles stalled.
+//! * **Epoch** ([`BackendKind::Epoch`]) — the reference mode. Every live SM
+//!   is due at every boundary and steps every cycle: no parking, no sleep,
+//!   no idle skip. It is what the equivalence tests compare the event mode
+//!   against.
 //!
-//! Pick a backend by name with [`BackendKind`] (what CLIs and
-//! [`crate::SimRequest`] thread through), or plug a custom engine in behind
-//! the [`TimingBackend`] trait.
+//! [`crate::SimRequest::backend`] selects the mode; its label is recorded in
+//! [`crate::SimResult::backend`].
 
-use crate::gpu::Gpu;
-use gpu_mem::Cycle;
 use serde::{Deserialize, Serialize};
 
-/// Which timing core advances the chip. Serialises as the lowercase label
-/// also used on the command line (`epoch` / `event`).
-///
-/// `Event` is the default: it is bit-identical to the epoch oracle and much
-/// faster on memory-bound workloads. The epoch engine stays selectable
-/// (`--backend epoch`) as the reference oracle the equivalence tests and
-/// recorded perf baselines compare against.
+/// Which timing mode advances the chip. Serialises as its lowercase label
+/// (`epoch` / `event`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The cycle-stepping epoch engine — the bit-exact reference oracle.
+    /// The reference mode: every live SM steps every cycle of every epoch.
     Epoch,
-    /// The event-driven core: next-event advancement, idle-cycle skipping.
+    /// The event-driven mode: next-event advancement, idle-cycle skipping.
     #[default]
     Event,
 }
 
 impl BackendKind {
-    /// Every selectable backend, in preference order for sweeps.
+    /// Both modes, reference first.
     pub const ALL: [BackendKind; 2] = [BackendKind::Epoch, BackendKind::Event];
 
-    /// The stable lowercase label (`"epoch"` / `"event"`) used in CLI flags
-    /// and recorded in [`crate::SimResult::backend`].
+    /// The stable lowercase label (`"epoch"` / `"event"`) recorded in
+    /// [`crate::SimResult::backend`].
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Epoch => "epoch",
             BackendKind::Event => "event",
-        }
-    }
-
-    /// Parses a [`BackendKind::label`] back into the kind.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "epoch" => Some(BackendKind::Epoch),
-            "event" => Some(BackendKind::Event),
-            _ => None,
-        }
-    }
-
-    /// The trait object driving this kind of backend.
-    pub fn backend(self) -> Box<dyn TimingBackend> {
-        match self {
-            BackendKind::Epoch => Box::new(EpochBackend),
-            BackendKind::Event => Box::new(EventBackend),
         }
     }
 }
@@ -76,64 +50,14 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// A timing core: given a fully built chip, advance it until every SM
-/// finished its CTAs or hit a cap.
-///
-/// Implementations must leave the chip in a state where
-/// [`Gpu::into_result`] reports the finished run; the two built-in backends
-/// are bit-identical in everything they report.
-pub trait TimingBackend {
-    /// The backend's stable label (matches [`BackendKind::label`] for the
-    /// built-in backends).
-    fn name(&self) -> &'static str;
-
-    /// Runs `gpu` to completion, returning the chip cycle count (the slowest
-    /// SM's clock).
-    fn drive(&self, gpu: &mut Gpu) -> Cycle;
-}
-
-/// The cycle-stepping epoch engine ([`Gpu::run`]), kept as the bit-exact
-/// reference oracle for the event core.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochBackend;
-
-impl TimingBackend for EpochBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Epoch.label()
-    }
-
-    fn drive(&self, gpu: &mut Gpu) -> Cycle {
-        gpu.run()
-    }
-}
-
-/// The event-driven timing core ([`Gpu::run_event`]): next-event advancement
-/// with bulk idle-cycle skipping, bit-identical to [`EpochBackend`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventBackend;
-
-impl TimingBackend for EventBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Event.label()
-    }
-
-    fn drive(&self, gpu: &mut Gpu) -> Cycle {
-        gpu.run_event()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn labels_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::from_label(kind.label()), Some(kind));
-            assert_eq!(kind.backend().name(), kind.label());
-            assert_eq!(kind.to_string(), kind.label());
-        }
-        assert_eq!(BackendKind::from_label("cycle"), None);
+    fn labels_are_stable() {
+        assert_eq!(BackendKind::Epoch.label(), "epoch");
+        assert_eq!(BackendKind::Event.to_string(), "event");
     }
 
     #[test]

@@ -1,73 +1,78 @@
 //! The multi-SM GPU engine: CTA dispatch, per-SM memory ports, and the
-//! barrier-synchronised parallel execution loop.
+//! epoch-boundary timing loop.
 //!
 //! [`Gpu`] turns the single-[`Sm`] simulator into a chip: the
 //! [`crate::dispatch`] module's policies split one or more co-running
-//! kernels' grids across `num_sms` SM engines, every SM's L1 misses travel
-//! over its own [`gpu_mem::Crossbar`] port into one shared, banked L2 + DRAM
-//! backend ([`gpu_mem::BankedMemorySystem`]) with per-tenant attribution, and
-//! the per-SM cycle loops execute in parallel with `std::thread::scope`.
+//! kernels' grids across `num_sms` SM engines, and every SM's L1 misses
+//! travel over its own [`gpu_mem::Crossbar`] port into one shared, banked
+//! L2 + DRAM backend ([`gpu_mem::BankedMemorySystem`]) with per-tenant
+//! attribution.
 //!
 //! ## The pipelined memory backend
 //!
-//! Results must not depend on how the OS schedules SM worker threads, so the
-//! engine advances all SMs in lockstep *epochs* of
+//! The engine advances the SMs in *epochs* of
 //! [`GpuConfig::effective_epoch_cycles`] cycles and routes every
 //! global-memory request through a deterministic service pipeline:
 //!
 //! ```text
 //!  SM 0 ──port──┐  (per-SM injection link: latency + bytes/cycle)
-//!  SM 1 ──port──┼──► reorder window ──► request fabric ──► bank shards
-//!   ⋮           │    (merge epochs by    (chip-wide B/cy   (L2+DRAM banks,
-//!  SM N ──port──┘     true arrival)       budget, SM→L2)    parallel workers)
+//!  SM 1 ──port──┼──► reorder window ──► request fabric ──► L2/DRAM banks
+//!   ⋮           │    (merge epochs by    (chip-wide B/cy
+//!  SM N ──port──┘     true arrival)       budget, SM→L2)
 //!                                                               │
 //!  SM event queues ◄── deliveries ◄── reply fabric ◄── reply reorder window
-//!                     (next barrier)  (chip-wide B/cy    (merge epochs by
+//!                     (next boundary) (chip-wide B/cy    (merge epochs by
 //!                                      budget, L2→SM)     completion cycle)
 //! ```
 //!
-//! 1. **Parallel phase** — every SM runs its epoch against purely SM-local
-//!    state. Global-memory requests are time-stamped with their injection
-//!    -port arrival cycle and buffered in the SM's [`MemoryPort`], not
-//!    served. *Concurrently*, the engine's barrier thread services the batch
-//!    drained at the previous boundary: the batch passes the shared request
-//!    fabric in `(arrival, SM, issue order)` order, is sharded by L2 bank and
-//!    served by up to [`GpuConfig::effective_service_threads`] workers (banks
-//!    are independently locked, shards are disjoint, per-bank order is fixed
-//!    by the sort — so worker count never changes results).
-//! 2. **Barrier phase** — read completions enter the *reply reorder window*
+//! Each epoch boundary runs the same sequence:
+//!
+//! 1. **Serve** the batch collected at the previous boundary: in
+//!    `(arrival, SM, issue order)` order, each request charges the shared
+//!    request fabric and is served at its owning L2 bank.
+//! 2. **Advance** the SMs to the boundary. Each runs against purely SM-local
+//!    state; global-memory requests are time-stamped with their
+//!    injection-port arrival cycle and buffered in the SM's [`MemoryPort`].
+//! 3. **Release** replies: read completions enter the *reply reorder window*
 //!    and every reply completing by `boundary + epoch` (which no later-served
 //!    batch can precede) crosses the reply fabric in global completion order
-//!    and is delivered into its SM's event queue. The SMs' request buffers
-//!    are then drained and merged with the *request reorder window*: requests
-//!    whose port arrival lands at or before the merge horizon
-//!    (`boundary + interconnect latency`) are batched for service, later
-//!    arrivals — which the next epoch's requests could still precede — are
-//!    held (up to [`GpuConfig::reorder_window`] entries per window) and
-//!    merged with the next drain. Both windows make adjacent epochs' traffic
-//!    interleave by true time instead of batch-major order.
+//!    and is delivered into its SM's event queue.
+//! 4. **Collect** the SMs' request buffers and merge them with the *request
+//!    reorder window*: requests whose port arrival lands at or before the
+//!    merge horizon (`boundary + interconnect latency`) form the next batch,
+//!    later arrivals — which the next epoch's requests could still precede —
+//!    are held (up to [`GpuConfig::reorder_window`] entries per window).
+//! 5. **Dispatch** arrived work and let the adaptive dispatcher decide.
 //!
 //! Because the epoch length is clamped to *half* the minimum SM→L2 round
-//! trip, a response computed one epoch after its request was drained still
-//! completes at or after the delivering boundary — service overlaps SM
-//! execution without ever landing in an SM's past, and the overlap is pure
-//! wall-clock win. Everything the service pipeline mutates (fabric, window,
-//! banks) is touched only by the barrier thread and its shard workers, in an
-//! order fixed by the batch sort, so results are bit-identical across host
-//! thread counts *and* service worker counts.
+//! trip, a response served one boundary after its request was collected
+//! still completes after the delivering boundary — never in an SM's past.
 //!
-//! With a single SM the engine skips the epoch machinery entirely and gives
-//! the SM a private memory partition, reproducing the legacy single-SM
-//! simulator bit for bit — the built-in correctness anchor for the multi-SM
-//! path.
+//! ## Timing modes
+//!
+//! [`Gpu::run`] takes a [`BackendKind`]. Both modes execute the boundary
+//! sequence above with identical boundary cycles and produce bit-identical
+//! results:
+//!
+//! - **Event** parks every SM in a [`TimeQueue`] at its next-event time and
+//!   advances only the SMs due at a boundary, fast-forwarding each over
+//!   provably idle stretches; when nothing at all is due the whole chip
+//!   sleeps through boundaries in closed form.
+//! - **Epoch** is the reference: every live SM is due at every boundary and
+//!   steps every cycle — no parking, no sleep, no idle skip.
+//!
+//! With a single SM and static work the engine skips the boundaries
+//! entirely and gives the SM a private memory partition, reproducing the
+//! legacy single-SM simulator bit for bit.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use crate::config::GpuConfig;
 use crate::dispatch::{
-    build_dispatch, AdaptiveDispatcher, DeferredBatch, DispatchPolicy, KernelStream, TenantSignal,
+    build_dispatch, AdaptiveDispatcher, CtaWork, DeferredBatch, DispatchPolicy, KernelStream,
+    TenantSignal,
 };
+use crate::event::BackendKind;
 use crate::kernel::Kernel;
 use crate::redirect::RedirectCache;
 use crate::scheduler::{SchedulerMetrics, WarpScheduler};
@@ -78,13 +83,7 @@ use crate::timeq::TimeQueue;
 use gpu_mem::interconnect::{Crossbar, CrossbarFabric};
 use gpu_mem::l2::{BankedMemorySystem, MemoryPartition, PartitionConfig, PartitionObs};
 use gpu_mem::{merge_tenant_stats, Addr, Cycle, TenantId, TenantMemStats, WarpId};
-use parking_lot::Mutex;
 use sim_obs::{ObsLevel, ObsReport, PhaseProfiler, TraceEvent, TraceRecorder, Tracer, Track};
-
-/// Batches smaller than this are served serially even when shard workers are
-/// configured: spawning scoped workers costs more than serving a handful of
-/// requests, and results are identical either way.
-const PARALLEL_SERVICE_MIN_BATCH: usize = 64;
 
 /// A read response computed by the service pipeline, awaiting delivery into
 /// its SM's event queue at the next epoch boundary.
@@ -115,8 +114,8 @@ struct RawCompletion {
 /// policies carry per-SM state (VTAs, interference lists, throttle sets).
 pub type SmUnit = (Box<dyn WarpScheduler>, Option<Box<dyn RedirectCache>>);
 
-/// A global-memory request buffered by a [`MemoryPort`] during an epoch's
-/// parallel phase and served against the shared backend at the barrier.
+/// A global-memory request buffered by a [`MemoryPort`] during an epoch and
+/// served against the shared backend at a later boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct MemRequest {
     /// Cycle at which the request arrives at the L2 side of the SM's
@@ -142,9 +141,9 @@ pub struct MemRequest {
 ///
 /// `Private` owns a full [`MemoryPartition`] and serves every request at
 /// issue time — the legacy single-SM configuration. `Deferred` buffers
-/// requests for epoch-barrier service by the [`Gpu`] engine and carries the
+/// requests for boundary service by the [`Gpu`] engine and carries the
 /// chip DRAM-utilisation snapshot the scheduler context reads during the
-/// parallel phase.
+/// epoch.
 pub enum MemoryPort {
     /// Synchronous private partition (single-SM runs).
     Private(Box<MemoryPartition>),
@@ -166,14 +165,14 @@ impl MemoryPort {
         MemoryPort::Private(Box::new(MemoryPartition::new(config)))
     }
 
-    /// A deferred port (requests served by the engine at epoch barriers).
+    /// A deferred port (requests served by the engine at epoch boundaries).
     pub fn deferred() -> Self {
         MemoryPort::Deferred(DeferredPort::default())
     }
 
     /// Issues a read attributed to `tenant`. Returns `Some(done)` when served
-    /// synchronously; `None` when buffered for barrier service (the event is
-    /// delivered later).
+    /// synchronously; `None` when buffered for boundary service (the event
+    /// is delivered later).
     pub fn read(
         &mut self,
         block: Addr,
@@ -302,8 +301,8 @@ impl DeferredPort {
 }
 
 /// The chip-level engine: `num_sms` SMs, one shared banked L2/DRAM backend,
-/// and the deterministic epoch loop. See the module docs for the execution
-/// model.
+/// and the deterministic epoch-boundary loop. See the module docs for the
+/// execution model.
 pub struct Gpu {
     config: GpuConfig,
     kernel_name: String,
@@ -313,8 +312,8 @@ pub struct Gpu {
     /// copied into [`TenantResult::qos`].
     tenant_qos: Vec<&'static str>,
     policy: DispatchPolicy,
-    sms: Vec<Mutex<Sm>>,
-    shared: Option<Arc<BankedMemorySystem>>,
+    sms: Vec<Sm>,
+    shared: Option<BankedMemorySystem>,
     /// The shared request/reply crossbar fabric (multi-SM chips only).
     fabric: Option<CrossbarFabric>,
     /// Cross-epoch reorder window: requests drained at an earlier boundary
@@ -331,8 +330,8 @@ pub struct Gpu {
     adaptive: Option<AdaptiveDispatcher>,
     dispatch_log: DispatchLog,
     cycle: Cycle,
-    /// Label of the timing backend that ran the chip (`"epoch"` until
-    /// [`Gpu::run_event`] is used); recorded into [`SimResult::backend`].
+    /// Label of the timing mode that ran the chip ([`BackendKind::label`]);
+    /// recorded into [`SimResult::backend`].
     backend: &'static str,
     /// Observability level requested via [`Gpu::set_obs`] (`Off` leaves the
     /// engine untouched — no sinks, no profiling, no trace rings).
@@ -344,34 +343,14 @@ pub struct Gpu {
     /// [`sim_obs::TraceCategory::Engine`] and are excluded from the
     /// canonical sim-time export, which must be backend-invariant.
     engine_trace: Option<TraceRecorder>,
-    /// Boundaries the event engine skipped in closed form via whole-chip
-    /// sleep (always 0 under the epoch backend). Surfaced as the
+    /// Boundaries the event mode skipped in closed form via whole-chip
+    /// sleep (always 0 in the reference mode). Surfaced as the
     /// `engine/skipped-boundaries` metric, which — like every `engine/`
     /// metric — is excluded from the canonical backend-invariant export.
     skipped_boundaries: u64,
     /// Number of whole-chip sleep episodes (runs of consecutive skipped
-    /// boundaries) the event engine took.
+    /// boundaries) the event mode took.
     sleeps: u64,
-}
-
-/// Reusable scratch for [`Gpu::serve_batch_event`]: unit 0 of the queue is
-/// the request fabric, unit `1 + b` is L2/DRAM bank `b`. The fabric charges
-/// requests one at a time at their true arrival cycles; each charged request
-/// joins its bank's FIFO, and the bank pops its next due request when its
-/// service instant comes up. Both queue and FIFOs drain completely within one
-/// batch, so the scratch carries no state across boundaries.
-struct ServePump {
-    timeq: TimeQueue,
-    fifos: Vec<std::collections::VecDeque<usize>>,
-}
-
-impl ServePump {
-    fn new(num_banks: usize) -> Self {
-        ServePump {
-            timeq: TimeQueue::new(1 + num_banks),
-            fifos: (0..num_banks).map(|_| std::collections::VecDeque::new()).collect(),
-        }
-    }
 }
 
 impl Gpu {
@@ -420,11 +399,11 @@ impl Gpu {
             // 15 SMs over 6 partitions). Each bank owns a private data bus,
             // so over-sharding a small chip's bandwidth would lose more to
             // transient channel imbalance than bank parallelism returns.
-            Arc::new(BankedMemorySystem::for_chip(
+            BankedMemorySystem::for_chip(
                 config.partition.clone(),
                 config.l2_banks.min((num_sms / 2).max(1)),
                 num_sms,
-            ))
+            )
         });
         let links = Crossbar::new(
             num_sms,
@@ -446,7 +425,7 @@ impl Gpu {
                 } else {
                     MemoryPort::private(config.partition.clone())
                 };
-                Mutex::new(Sm::with_parts(config.clone(), work, scheduler, redirect, link, port))
+                Sm::with_parts(config.clone(), work, scheduler, redirect, link, port)
             })
             .collect();
         let fabric = (num_sms > 1).then(|| CrossbarFabric::new(config.xbar_chip_bytes_per_cycle));
@@ -466,7 +445,7 @@ impl Gpu {
             adaptive: dispatch_plan.adaptive,
             dispatch_log: DispatchLog::default(),
             cycle: 0,
-            backend: crate::event::BackendKind::Epoch.label(),
+            backend: BackendKind::Event.label(),
             obs: ObsLevel::Off,
             profiler: PhaseProfiler::default(),
             engine_trace: None,
@@ -485,17 +464,17 @@ impl Gpu {
         self.obs = level;
         if level.metrics_enabled() {
             self.profiler = PhaseProfiler::enabled();
-            if let Some(shared) = &self.shared {
+            if let Some(shared) = &mut self.shared {
                 shared.enable_obs(level.trace_enabled());
             } else {
                 for sm in &mut self.sms {
-                    sm.get_mut().enable_port_obs(level.trace_enabled());
+                    sm.enable_port_obs(level.trace_enabled());
                 }
             }
         }
         if level.trace_enabled() {
             for (i, sm) in self.sms.iter_mut().enumerate() {
-                sm.get_mut().set_trace(i as u32);
+                sm.set_trace(i as u32);
             }
             if let Some(fabric) = &mut self.fabric {
                 fabric.enable_trace();
@@ -505,7 +484,7 @@ impl Gpu {
     }
 
     /// Detaches everything the run collected into an [`ObsReport`]. Call
-    /// after [`Gpu::run`] / [`Gpu::run_event`] and before
+    /// after [`Gpu::run`] and before
     /// [`Gpu::into_result`]; none of the collected state feeds back into
     /// the simulation result.
     pub fn take_obs(&mut self) -> ObsReport {
@@ -516,7 +495,6 @@ impl Gpu {
             return report;
         }
         for sm in &mut self.sms {
-            let sm = sm.get_mut();
             if let Some(mut trace) = sm.take_trace() {
                 report.dropped_events += trace.dropped();
                 report.events.extend(trace.take());
@@ -525,7 +503,7 @@ impl Gpu {
                 Self::absorb_partition_obs(&mut report, *obs);
             }
         }
-        if let Some(shared) = &self.shared {
+        if let Some(shared) = &mut self.shared {
             for obs in shared.collect_obs() {
                 Self::absorb_partition_obs(&mut report, *obs);
             }
@@ -540,8 +518,8 @@ impl Gpu {
             report.dropped_events += trace.dropped();
             report.events.extend(trace.take());
         }
-        // Engine-internal counters: how much of the run the event engine
-        // skipped in closed form. Always 0 under the epoch backend; the
+        // Engine-internal counters: how much of the run the event mode
+        // skipped in closed form. Always 0 in the reference mode; the
         // `engine/` prefix keeps them out of the canonical backend-invariant
         // metrics export (full export only).
         report.metrics.counter_add("engine/skipped-boundaries", None, self.skipped_boundaries);
@@ -566,7 +544,7 @@ impl Gpu {
 
     /// Synthesises dispatcher-track trace instants and registry metrics from
     /// the decision log. Purely derived from sim-time state, so the output
-    /// is identical across timing backends and thread counts.
+    /// is identical across timing modes.
     fn dispatch_obs(&self, report: &mut ObsReport) {
         let log = &self.dispatch_log;
         if log.is_empty() {
@@ -675,53 +653,37 @@ impl Gpu {
     /// The shared chip backend (`None` for a single-SM chip, whose SM owns a
     /// private partition instead).
     pub fn shared_memory_system(&self) -> Option<&BankedMemorySystem> {
-        self.shared.as_deref()
+        self.shared.as_ref()
     }
 
-    /// Runs the chip until every SM finished its CTAs or hit a cap. Returns
-    /// the chip cycle count (the slowest SM's clock).
-    pub fn run(&mut self) -> Cycle {
+    /// Runs the chip until every SM finished its CTAs or hit a cap, under
+    /// the timing mode `backend` (see the module docs; both modes are
+    /// bit-identical). Returns the chip cycle count (the slowest SM's clock).
+    pub fn run(&mut self, backend: BackendKind) -> Cycle {
+        self.backend = backend.label();
+        let event = backend == BackendKind::Event;
         let dynamic = self.adaptive.is_some() || !self.deferred.is_empty();
         if self.sms.len() == 1 && !dynamic {
-            // Single SM, fully static work: the legacy serial loop,
-            // bit-identical to `Sm::run`.
+            // Single SM, fully static work: nothing to coordinate at
+            // boundaries, so the SM runs straight to completion.
             self.profiler.enter("sm-run");
-            self.cycle = self.sms[0].get_mut().run();
+            let sm = &mut self.sms[0];
+            sm.advance(Cycle::MAX, event);
+            sm.finalize_stats();
+            self.cycle = sm.cycle();
             self.profiler.exit();
             return self.cycle;
         }
-        self.run_epochs();
+        self.run_boundaries(event);
         self.cycle
     }
 
-    /// Runs the chip under the event-driven timing core. Produces results
-    /// bit-identical to [`Gpu::run`] (same epoch-boundary protocol, same
-    /// request and reply ordering), but each SM fast-forwards over provably
-    /// idle stretches instead of stepping them cycle by cycle, and the chip
-    /// advances single-threaded in deterministic next-event order — so the
-    /// outcome cannot depend on thread count. Returns the chip cycle count.
-    pub fn run_event(&mut self) -> Cycle {
-        self.backend = crate::event::BackendKind::Event.label();
-        let dynamic = self.adaptive.is_some() || !self.deferred.is_empty();
-        if self.sms.len() == 1 && !dynamic {
-            // Single SM, fully static work: the serial event loop,
-            // bit-identical to `Sm::run`.
-            self.profiler.enter("sm-run");
-            self.cycle = self.sms[0].get_mut().run_event();
-            self.profiler.exit();
-            return self.cycle;
-        }
-        self.run_epochs_event();
-        self.cycle
-    }
-
-    /// Event-driven replica of [`Gpu::run_epochs`]: the same boundary
-    /// sequence (serve the held batch → advance SMs to the boundary →
-    /// release and deliver replies → collect the next batch → dispatch),
-    /// with identical boundary cycles, so every request is served at exactly
-    /// the cycle the epoch engine would serve it. Three mechanisms keep the
-    /// loop off everything that is provably idle, without changing a single
-    /// observable cycle:
+    /// The epoch-boundary loop: serve the held batch → advance SMs to the
+    /// boundary → release and deliver replies → collect the next batch →
+    /// dispatch. In the reference mode (`event == false`) every live SM is
+    /// advanced to every boundary one cycle at a time. The event mode keeps
+    /// the same boundary cycles, so every request is served at exactly the
+    /// same cycle, but stays off everything that is provably idle:
     ///
     /// - **Per-SM parking.** Only SMs whose wakeup hint is due at the current
     ///   boundary are popped and advanced ([`TimeQueue::pop_due`]); the rest
@@ -729,32 +691,28 @@ impl Gpu {
     ///   construction (the hint is [`Sm::next_event_time`], and replies /
     ///   dealt work pull hints forward), so the owed idle settle — scheduler
     ///   decay, idle-cycle accounting — is replayed in one closed-form
-    ///   [`Sm::run_epoch_event`] call when the SM next wakes, exactly as
+    ///   [`Sm::advance`] call when the SM next wakes, exactly as
     ///   `on_idle_cycles` composes per-SM. Done and capped SMs park at
     ///   `Cycle::MAX`.
+    /// - **Idle skip.** An advancing SM fast-forwards over idle stretches
+    ///   inside the epoch.
     /// - **Whole-chip sleep.** When every hint, arrival and delivery lies
     ///   beyond the next boundary and nothing is buffered anywhere, whole
     ///   boundaries are skipped in closed form: the adaptive dispatcher's
     ///   hysteresis windows are bulk-replayed per skipped boundary against
-    ///   frozen monitor signals (identical to what the epoch oracle computes,
+    ///   frozen monitor signals (identical to what the reference computes,
     ///   since no SM or bank state moves while the chip sleeps). The skipped
     ///   count surfaces as the `engine/skipped-boundaries` metric.
-    /// - **Event-granular memory service.** Each boundary's batch runs
-    ///   through [`Gpu::serve_batch_event`]: fabric-link occupancy charged at
-    ///   each request's true arrival time, banks popping their next due
-    ///   request from per-bank FIFOs — same `(arrive, SM, seq)` global order
-    ///   as the batch-major walk, driven by a [`TimeQueue`].
-    fn run_epochs_event(&mut self) {
+    fn run_boundaries(&mut self, event: bool) {
         let epoch = self.config.effective_epoch_cycles();
         let line_size = self.config.l1d.line_size;
         let xbar_latency = self.config.interconnect_latency;
         let reorder_window = self.config.reorder_window;
-        let shared = self.shared.clone();
-        let shared = shared.as_deref();
         let num_sms = self.sms.len();
         let num_tenants = self.tenant_names.len();
         let max_cycles = self.config.max_cycles;
-        let sms = &self.sms;
+        let sms = &mut self.sms;
+        let shared = &mut self.shared;
         let adaptive = &mut self.adaptive;
         let deferred = &mut self.deferred;
         let fabric = &mut self.fabric;
@@ -763,64 +721,71 @@ impl Gpu {
         let profiler = &mut self.profiler;
         let engine_trace = &mut self.engine_trace;
 
-        let mut timeq = TimeQueue::new(num_sms);
-        for unit in 0..num_sms {
-            timeq.schedule(unit, 0);
-        }
-        let mut pump = ServePump::new(shared.map_or(0, |s| s.num_banks()));
+        // SM wakeup queue of the event mode; the reference mode parks
+        // nothing and treats every live SM as due at every boundary.
+        let mut timeq = event.then(|| {
+            let mut q = TimeQueue::new(num_sms);
+            for unit in 0..num_sms {
+                q.schedule(unit, 0);
+            }
+            q
+        });
 
         // Cycle-0 boundary: admit arrival-0 streams into the adaptive
         // dispatcher and deal its initial (probe) CTAs.
-        Self::dispatch_boundary_event(
+        Self::dispatch_boundary(
             sms,
-            shared,
+            shared.as_ref(),
             adaptive,
             deferred,
             num_tenants,
             0,
-            &mut timeq,
+            timeq.as_mut(),
             0.0,
         );
 
-        // Same stall guard as the epoch engine (see `run_epochs`).
+        // How long the chip may sit idle (no SM runnable, nothing newly
+        // dealt) while the dispatcher still holds work before the run is
+        // declared stuck: long enough for every probe give-up to fire.
         let stall_limit = epoch
             * crate::dispatch::DECISION_EPOCHS
             * (crate::dispatch::MAX_PROBE_WINDOWS + 2 * crate::dispatch::DECISION_EPOCHS);
 
         let mut now: Cycle = 0;
         let mut last_progress: Cycle = 0;
+        // The batch collected at the previous boundary, already merged with
+        // the reorder window and sorted.
         let mut batch: Vec<(usize, MemRequest)> = Vec::new();
         // Scratch for one boundary's advancement order (refilled each epoch).
         let mut order: Vec<usize> = Vec::with_capacity(num_sms);
         // DRAM-utilisation snapshot the current boundary's advancing SMs
-        // read — the value the oracle's deliver pass wrote at the *previous*
-        // boundary. `flush_util` lags it by one boundary: the snapshot that
-        // was in effect during the last executed boundary, i.e. what a parked
-        // SM's final oracle advancement would have observed.
+        // read — the value computed at the *previous* boundary. `flush_util`
+        // lags it by one boundary: the snapshot that was in effect during
+        // the last executed boundary, i.e. what a parked SM's final
+        // advancement in the reference mode would have observed.
         let mut boundary_util = 0.0f64;
         let mut flush_util = 0.0f64;
         let mut skipped_boundaries: u64 = 0;
         let mut sleeps: u64 = 0;
         loop {
-            let alive = sms.iter().any(|s| {
-                let s = s.lock();
-                !s.is_done() && !s.hit_cap()
-            });
+            let alive = sms.iter().any(Sm::is_live);
             let mut proceed = alive;
             if alive {
                 last_progress = now;
-                // Whole-chip sleep: skip boundaries where provably nothing
-                // happens — no SM due, nothing buffered in the request/reply
-                // pipeline, no arrival admissible, no admitted work to feed.
-                // Each skipped boundary is one the oracle would have executed
-                // as a pure no-op apart from the dispatcher's hysteresis
-                // clock, which is replayed here against frozen signals.
-                if batch.is_empty()
-                    && window.is_empty()
-                    && reply_window.is_empty()
-                    && adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
-                {
-                    let next_sm = timeq.peek_time().unwrap_or(Cycle::MAX);
+                // Whole-chip sleep (event mode only): skip boundaries where
+                // provably nothing happens — no SM due, nothing buffered in
+                // the request/reply pipeline, no arrival admissible, no
+                // admitted work to feed. Each skipped boundary is one the
+                // reference executes as a pure no-op apart from the
+                // dispatcher's hysteresis clock, which is replayed here
+                // against frozen signals.
+                if let Some(q) = timeq.as_mut().filter(|_| {
+                    batch.is_empty()
+                        && window.is_empty()
+                        && reply_window.is_empty()
+                        && adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
+                }) {
+                    let next_sm = q.peek_time().unwrap_or(Cycle::MAX);
                     let next_deferred = deferred.first().map_or(Cycle::MAX, |b| b.arrival);
                     let next_adaptive =
                         adaptive.as_ref().and_then(|a| a.next_arrival()).unwrap_or(Cycle::MAX);
@@ -831,9 +796,8 @@ impl Gpu {
                         // sleeps (no SM executes, no bank serves), so one
                         // snapshot feeds every replayed boundary.
                         let frozen = adaptive.as_ref().map(|_| {
-                            let signals = Self::tenant_signals(sms, shared, num_tenants);
-                            let free: Vec<usize> =
-                                sms.iter().map(|s| s.lock().free_warp_slots()).collect();
+                            let signals = Self::tenant_signals(sms, shared.as_ref(), num_tenants);
+                            let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
                             (signals, free)
                         });
                         let mut slept: u64 = 0;
@@ -853,11 +817,11 @@ impl Gpu {
                         skipped_boundaries += slept;
                         sleeps += 1;
                         last_progress = now;
-                        if let Some(shared) = shared {
-                            // The oracle's deliver pass refreshed the
-                            // snapshot at every slept boundary; only the last
-                            // two values can still be observed (bytes are
-                            // frozen, so both are computable after the fact).
+                        if let Some(shared) = shared.as_ref() {
+                            // The reference refreshes the snapshot at every
+                            // slept boundary; only the last two values can
+                            // still be observed (bytes are frozen, so both
+                            // are computable after the fact).
                             flush_util = shared.dram_bandwidth_utilization((now - epoch).max(1));
                             boundary_util = shared.dram_bandwidth_utilization(now.max(1));
                         }
@@ -875,6 +839,10 @@ impl Gpu {
                 let undealt =
                     !deferred.is_empty() || adaptive.as_ref().is_some_and(|a| a.has_work());
                 if undealt {
+                    // The chip is idle but work remains: keep epochs
+                    // ticking — a future arrival, a CTA retirement or a
+                    // probe give-up will release it. Jump ahead when a
+                    // far-off arrival is the only thing being awaited.
                     proceed = now - last_progress < stall_limit;
                     let next_arrival = deferred
                         .iter()
@@ -882,9 +850,15 @@ impl Gpu {
                         .chain(adaptive.as_ref().and_then(|a| a.next_arrival()))
                         .min();
                     if let Some(arrival) = next_arrival {
+                        // Fast-forward only when nothing *admitted* is
+                        // pending — admitted work needs the intermediate
+                        // boundaries (retire checks, probe give-ups) the
+                        // jump would skip; a pure future arrival does not.
                         if adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
                             && arrival > now + epoch
                         {
+                            // First epoch boundary at or after the arrival,
+                            // minus the epoch added below.
                             now = arrival.div_ceil(epoch) * epoch - epoch;
                             last_progress = last_progress.max(now);
                             proceed = true;
@@ -901,14 +875,12 @@ impl Gpu {
             now += epoch;
             // Serve the previous boundary's batch. The halved epoch clamp
             // guarantees every completion lands strictly after `now`, the
-            // cycle it may be delivered at — exactly as in the epoch engine,
-            // which overlaps this service with the SM epoch.
-            let completions = Self::serve_batch_event(
-                shared,
+            // cycle it may be delivered at.
+            let completions = Self::serve_batch(
+                shared.as_mut(),
                 fabric.as_mut(),
                 std::mem::take(&mut batch),
                 line_size,
-                &mut pump,
                 profiler,
             );
             // Advance the SMs whose next event is due, earliest first; the
@@ -916,31 +888,32 @@ impl Gpu {
             // to whichever later boundary wakes them.
             profiler.enter("pop-advance");
             order.clear();
-            while let Some((_, unit)) = timeq.pop_due(now) {
-                if let Some(trace) = engine_trace.as_mut() {
-                    trace.record(
-                        TraceEvent::instant(Track::Engine, "pop", now, None)
-                            .with_arg(unit as u64)
-                            .engine(),
-                    );
+            match timeq.as_mut() {
+                Some(q) => {
+                    while let Some((_, unit)) = q.pop_due(now) {
+                        if let Some(trace) = engine_trace.as_mut() {
+                            trace.record(
+                                TraceEvent::instant(Track::Engine, "pop", now, None)
+                                    .with_arg(unit as u64)
+                                    .engine(),
+                            );
+                        }
+                        order.push(unit);
+                    }
                 }
-                order.push(unit);
+                None => order.extend((0..num_sms).filter(|&unit| sms[unit].is_live())),
             }
             for &unit in &order {
-                let mut sm = sms[unit].lock();
-                if !sm.is_done() && !sm.hit_cap() {
-                    if shared.is_some() {
-                        sm.set_dram_utilization(boundary_util);
-                    }
-                    sm.run_epoch_event(now);
+                let sm = &mut sms[unit];
+                if sm.is_live() {
+                    sm.set_dram_utilization(boundary_util);
+                    sm.advance(now, event);
                 }
-                let hint = if sm.is_done() || sm.hit_cap() {
-                    Cycle::MAX
-                } else {
-                    sm.next_event_time().unwrap_or(now)
-                };
-                drop(sm);
-                timeq.schedule(unit, hint);
+                if let Some(q) = timeq.as_mut() {
+                    let hint =
+                        if sm.is_live() { sm.next_event_time().unwrap_or(now) } else { Cycle::MAX };
+                    q.schedule(unit, hint);
+                }
             }
             profiler.exit();
             let responses = Self::release_replies(
@@ -955,28 +928,28 @@ impl Gpu {
             profiler.enter("deliver");
             // A delivered reply wakes its SM at the response cycle.
             for r in &responses {
-                sms[r.sm].lock().deliver(r.done, r.event);
-                timeq.schedule_min(r.sm, r.done);
+                sms[r.sm].deliver(r.done, r.event);
+                if let Some(q) = timeq.as_mut() {
+                    q.schedule_min(r.sm, r.done);
+                }
             }
             // The snapshot the *next* boundary's advancing SMs will read —
             // computed now (after this boundary's serve mutated the bank
-            // counters), applied per-SM at wakeup instead of broadcast to
-            // every SM every boundary.
-            let pending_util = shared.map(|s| s.dram_bandwidth_utilization(now.max(1)));
+            // counters) and applied per SM as it advances.
+            let pending_util = shared.as_ref().map(|s| s.dram_bandwidth_utilization(now.max(1)));
             profiler.exit();
             profiler.enter("collect");
-            batch =
-                Self::collect_batch_from(sms, &order, window, now, xbar_latency, reorder_window);
+            batch = Self::collect_batch(sms, &order, window, now, xbar_latency, reorder_window);
             profiler.exit();
             profiler.enter("dispatch");
-            let dealt = Self::dispatch_boundary_event(
+            let dealt = Self::dispatch_boundary(
                 sms,
-                shared,
+                shared.as_ref(),
                 adaptive,
                 deferred,
                 num_tenants,
                 now,
-                &mut timeq,
+                timeq.as_mut(),
                 boundary_util,
             );
             profiler.exit();
@@ -989,35 +962,34 @@ impl Gpu {
             }
         }
         // Parked SMs still owe their idle settle up to the final executed
-        // boundary (the oracle advances every live SM to every boundary),
-        // observing the snapshot that was in effect during that boundary.
-        // This must happen before the flush serves below: flush deliveries
-        // are not visible to any boundary-time advancement.
-        for sm in sms.iter() {
-            let mut sm = sm.lock();
-            if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
-                if shared.is_some() {
-                    sm.set_dram_utilization(flush_util);
-                }
-                sm.run_epoch_event(now);
-            }
+        // boundary (the reference advances every live SM to every
+        // boundary), observing the snapshot that was in effect during that
+        // boundary. This must happen before the flush serves below: flush
+        // deliveries are not visible to any boundary-time advancement.
+        for sm in sms.iter_mut().filter(|sm| sm.is_live() && sm.cycle() < now) {
+            sm.set_dram_utilization(flush_util);
+            sm.advance(now, event);
         }
-        // Flush, exactly as the epoch engine does after its loop exits.
-        let mut completions = Self::serve_batch_event(
-            shared,
+        // Flush: the loop exits with one batch still unserved (plus, after a
+        // cap, possibly held window entries). Serve everything so the shared
+        // backend's counters cover every request the SMs injected. Every SM
+        // buffer was drained at the boundary that last advanced it, so what
+        // remains besides the batch is the window, already in
+        // `(arrive, SM, seq)` order. Reads can only remain here after a cap
+        // — a waiting warp keeps its SM alive — so these deliveries land in
+        // event queues that are never polled again.
+        let mut completions = Self::serve_batch(
+            shared.as_mut(),
             fabric.as_mut(),
             std::mem::take(&mut batch),
             line_size,
-            &mut pump,
             profiler,
         );
-        let rest = Self::collect_batch(sms, window, Cycle::MAX - xbar_latency, xbar_latency, 0);
-        completions.extend(Self::serve_batch_event(
-            shared,
+        completions.extend(Self::serve_batch(
+            shared.as_mut(),
             fabric.as_mut(),
-            rest,
+            std::mem::take(window),
             line_size,
-            &mut pump,
             profiler,
         ));
         let responses = Self::release_replies(
@@ -1029,258 +1001,36 @@ impl Gpu {
             line_size,
             profiler,
         );
-        Self::deliver_responses(sms, shared, &responses, now);
+        for r in responses {
+            sms[r.sm].deliver(r.done, r.event);
+        }
 
         if let Some(dispatcher) = &mut self.adaptive {
             self.dispatch_log = dispatcher.take_log();
         }
         self.skipped_boundaries = skipped_boundaries;
         self.sleeps = sleeps;
-        self.cycle = 0;
-        for sm in &mut self.sms {
-            let sm = sm.get_mut();
-            sm.finalize_stats();
-            self.cycle = self.cycle.max(sm.cycle());
-        }
-    }
-
-    fn run_epochs(&mut self) {
-        let epoch = self.config.effective_epoch_cycles();
-        let line_size = self.config.l1d.line_size;
-        let xbar_latency = self.config.interconnect_latency;
-        let service_threads = self.config.effective_service_threads();
-        let reorder_window = self.config.reorder_window;
-        let shared = self.shared.clone();
-        let shared = shared.as_deref();
-        let num_sms = self.sms.len();
-        let num_tenants = self.tenant_names.len();
-        let max_cycles = self.config.max_cycles;
-        let stop = AtomicBool::new(false);
-        let epoch_end = AtomicU64::new(0);
-        let start_barrier = Barrier::new(num_sms + 1);
-        let end_barrier = Barrier::new(num_sms + 1);
-        let sms = &self.sms;
-        let adaptive = &mut self.adaptive;
-        let deferred = &mut self.deferred;
-        let fabric = &mut self.fabric;
-        let window = &mut self.window;
-        let reply_window = &mut self.reply_window;
-        // Only the barrier (chip) thread touches the profiler; SM workers
-        // never profile — wall clocks are aggregated per phase, not per SM.
-        let profiler = &mut self.profiler;
-
-        std::thread::scope(|scope| {
-            for sm in sms {
-                let (stop, epoch_end) = (&stop, &epoch_end);
-                let (start_barrier, end_barrier) = (&start_barrier, &end_barrier);
-                scope.spawn(move || loop {
-                    start_barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let until = epoch_end.load(Ordering::Acquire);
-                    {
-                        let mut sm = sm.lock();
-                        if !sm.is_done() && !sm.hit_cap() {
-                            sm.run_epoch(until);
-                        }
-                    }
-                    end_barrier.wait();
-                });
-            }
-
-            // Cycle-0 boundary: admit arrival-0 streams into the adaptive
-            // dispatcher and deal its initial (probe) CTAs.
-            Self::dispatch_boundary(sms, shared, adaptive, deferred, num_tenants, 0);
-
-            // How long the chip may sit idle (no SM runnable, nothing newly
-            // dealt) while the dispatcher still holds work before the run is
-            // declared stuck: long enough for every probe give-up to fire.
-            let stall_limit = epoch
-                * crate::dispatch::DECISION_EPOCHS
-                * (crate::dispatch::MAX_PROBE_WINDOWS + 2 * crate::dispatch::DECISION_EPOCHS);
-
-            let mut now: Cycle = 0;
-            let mut last_progress: Cycle = 0;
-            // The batch drained at the previous boundary, already merged with
-            // the reorder window and sorted — served while the next epoch's
-            // parallel phase runs.
-            let mut batch: Vec<(usize, MemRequest)> = Vec::new();
-            loop {
-                let alive = sms.iter().any(|s| {
-                    let s = s.lock();
-                    !s.is_done() && !s.hit_cap()
-                });
-                let mut proceed = alive;
-                if alive {
-                    last_progress = now;
-                } else {
-                    let undealt =
-                        !deferred.is_empty() || adaptive.as_ref().is_some_and(|a| a.has_work());
-                    if undealt {
-                        // The chip is idle but work remains: keep epochs
-                        // ticking — a future arrival, a CTA retirement or a
-                        // probe give-up will release it. Jump ahead when a
-                        // far-off arrival is the only thing being awaited.
-                        proceed = now - last_progress < stall_limit;
-                        let next_arrival = deferred
-                            .iter()
-                            .map(|b| b.arrival)
-                            .chain(adaptive.as_ref().and_then(|a| a.next_arrival()))
-                            .min();
-                        if let Some(arrival) = next_arrival {
-                            // Fast-forward only when nothing *admitted* is
-                            // pending — admitted work needs the intermediate
-                            // boundaries (retire checks, probe give-ups) the
-                            // jump would skip; a pure future arrival does not.
-                            if adaptive.as_ref().is_none_or(|a| !a.has_admitted_pending())
-                                && arrival > now + epoch
-                            {
-                                // First epoch boundary at or after the
-                                // arrival, minus the epoch added below.
-                                now = arrival.div_ceil(epoch) * epoch - epoch;
-                                last_progress = last_progress.max(now);
-                                proceed = true;
-                            }
-                        }
-                    }
-                }
-                if max_cycles.is_some_and(|m| now >= m) {
-                    proceed = false;
-                }
-                if !proceed {
-                    break;
-                }
-                now += epoch;
-                epoch_end.store(now, Ordering::Release);
-                start_barrier.wait();
-                // Overlap: serve the previous boundary's batch while the SMs
-                // run this epoch against their own local state. The halved
-                // epoch clamp guarantees every completion computed here lands
-                // strictly after `now`, the cycle it may be delivered at.
-                let completions = Self::serve_batch(
-                    shared,
-                    fabric.as_mut(),
-                    std::mem::take(&mut batch),
-                    line_size,
-                    service_threads,
-                    profiler,
-                );
-                // Whatever the SM epochs still owe beyond the service time is
-                // the un-overlapped remainder of the parallel phase.
-                profiler.enter("sm-wait");
-                end_barrier.wait();
-                profiler.exit();
-                // Release replies whose completion no later-served batch can
-                // precede (done ≤ now + epoch: the batch drained at this very
-                // boundary completes strictly after that), pass them through
-                // the reply fabric in global completion order, deliver.
-                let responses = Self::release_replies(
-                    fabric.as_mut(),
-                    reply_window,
-                    completions,
-                    now + epoch,
-                    reorder_window,
-                    line_size,
-                    profiler,
-                );
-                profiler.enter("deliver");
-                Self::deliver_responses(sms, shared, &responses, now);
-                profiler.exit();
-                profiler.enter("collect");
-                batch = Self::collect_batch(sms, window, now, xbar_latency, reorder_window);
-                profiler.exit();
-                profiler.enter("dispatch");
-                let dealt =
-                    Self::dispatch_boundary(sms, shared, adaptive, deferred, num_tenants, now);
-                profiler.exit();
-                if dealt {
-                    last_progress = now;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            start_barrier.wait();
-            // Flush: the loop exits with one batch still unserved (plus, after
-            // a cap, possibly held window entries and last-epoch buffers).
-            // Serve everything so the shared backend's counters cover every
-            // request the SMs injected. Reads can only remain here after a
-            // cap — a waiting warp keeps its SM alive — so these deliveries
-            // land in event queues that are never polled again.
-            let mut completions = Self::serve_batch(
-                shared,
-                fabric.as_mut(),
-                std::mem::take(&mut batch),
-                line_size,
-                service_threads,
-                profiler,
-            );
-            let rest = Self::collect_batch(sms, window, Cycle::MAX - xbar_latency, xbar_latency, 0);
-            completions.extend(Self::serve_batch(
-                shared,
-                fabric.as_mut(),
-                rest,
-                line_size,
-                service_threads,
-                profiler,
-            ));
-            let responses = Self::release_replies(
-                fabric.as_mut(),
-                reply_window,
-                completions,
-                Cycle::MAX,
-                0,
-                line_size,
-                profiler,
-            );
-            Self::deliver_responses(sms, shared, &responses, now);
-        });
-
-        if let Some(dispatcher) = &mut self.adaptive {
-            self.dispatch_log = dispatcher.take_log();
-        }
-
         // The chip clock is the slowest SM's clock, not the epoch-rounded
         // loop counter (an SM finishing mid-epoch stops its clock there).
         self.cycle = 0;
         for sm in &mut self.sms {
-            let sm = sm.get_mut();
             sm.finalize_stats();
             self.cycle = self.cycle.max(sm.cycle());
         }
     }
 
-    /// Drains every SM's buffered requests into the reorder window, sorts the
-    /// window by `(arrive, SM, seq)`, and splits off the service batch:
-    /// requests arriving at or before the merge horizon
-    /// (`now + interconnect latency`) can no longer be preceded by any future
-    /// request (the next epoch issues at cycle ≥ `now`, so its arrivals are
-    /// strictly later), later arrivals stay held — bounded by `window_limit`,
-    /// with the earliest overflow served batch-major as before.
+    /// Drains the buffered requests of the SMs advanced this boundary into
+    /// the reorder window, sorts the window by `(arrive, SM, seq)`, and
+    /// splits off the service batch: requests arriving at or before the
+    /// merge horizon (`now + interconnect latency`) can no longer be
+    /// preceded by any future request (the next epoch issues at cycle ≥
+    /// `now`, so its arrivals are strictly later), later arrivals stay held —
+    /// bounded by `window_limit`, with the earliest overflow served
+    /// batch-major. An SM that did not advance holds no buffered requests:
+    /// its buffer was drained at the boundary it last advanced, and a parked
+    /// (purely idle) SM issues nothing.
     fn collect_batch(
-        sms: &[Mutex<Sm>],
-        window: &mut Vec<(usize, MemRequest)>,
-        now: Cycle,
-        xbar_latency: Cycle,
-        window_limit: usize,
-    ) -> Vec<(usize, MemRequest)> {
-        for (i, sm) in sms.iter().enumerate() {
-            let mut sm = sm.lock();
-            window.extend(sm.drain_requests().into_iter().map(|r| (i, r)));
-        }
-        window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
-        let horizon = now.saturating_add(xbar_latency);
-        let mut split = window.partition_point(|&(_, r)| r.arrive <= horizon);
-        split += (window.len() - split).saturating_sub(window_limit);
-        window.drain(..split).collect()
-    }
-
-    /// [`Gpu::collect_batch`] restricted to the SMs that advanced this
-    /// boundary. A parked SM cannot hold buffered requests — its buffer was
-    /// drained at the boundary it last executed (it is in that boundary's
-    /// advancement set by construction) and pure idle issues nothing — so
-    /// skipping it drains exactly what the full walk would.
-    fn collect_batch_from(
-        sms: &[Mutex<Sm>],
+        sms: &mut [Sm],
         advanced: &[usize],
         window: &mut Vec<(usize, MemRequest)>,
         now: Cycle,
@@ -1288,8 +1038,7 @@ impl Gpu {
         window_limit: usize,
     ) -> Vec<(usize, MemRequest)> {
         for &i in advanced {
-            let mut sm = sms[i].lock();
-            window.extend(sm.drain_requests().into_iter().map(|r| (i, r)));
+            window.extend(sms[i].drain_requests().into_iter().map(|r| (i, r)));
         }
         window.sort_by_key(|&(sm, r)| (r.arrive, sm, r.seq));
         let horizon = now.saturating_add(xbar_latency);
@@ -1298,186 +1047,45 @@ impl Gpu {
         window.drain(..split).collect()
     }
 
-    /// Runs one batch through the service pipeline: the shared request fabric
-    /// (in batch order), the bank shards (in parallel where the batch is
-    /// large enough to pay for it), and the shared reply fabric (in
-    /// completion order). Returns the raw read completions (writes produce no
-    /// reply) for the reply reorder window. A single-SM chip (private
-    /// synchronous port, `shared == None`, no fabric) has nothing to serve.
+    /// Serves one batch in batch order: each request charges the shared
+    /// request fabric at its port-arrival cycle and is then served at its
+    /// owning L2 bank when it gets there. Banks share no state, so per-bank
+    /// service order is batch order and nothing depends on how requests to
+    /// different banks interleave. Returns the raw read completions (writes
+    /// produce no reply) for the reply reorder window. A single-SM chip
+    /// (private synchronous port, no shared backend, no fabric) has nothing
+    /// to serve.
     fn serve_batch(
-        shared: Option<&BankedMemorySystem>,
+        shared: Option<&mut BankedMemorySystem>,
         fabric: Option<&mut CrossbarFabric>,
         batch: Vec<(usize, MemRequest)>,
         line_size: u64,
-        service_threads: usize,
         profiler: &mut PhaseProfiler,
     ) -> Vec<RawCompletion> {
         let (Some(shared), Some(fabric)) = (shared, fabric) else { return Vec::new() };
         if batch.is_empty() {
             return Vec::new();
         }
-        // Request direction: every request charges the chip-wide budget, in
-        // deterministic batch order (non-decreasing arrival).
-        profiler.enter("fabric-request");
-        let entries: Vec<(usize, MemRequest, Cycle)> = batch
-            .into_iter()
-            .map(|(sm, r)| {
-                let at_l2 = fabric.request_transfer(line_size, r.arrive, r.tenant);
-                (sm, r, at_l2)
-            })
-            .collect();
-        profiler.exit();
         profiler.enter("bank-service");
-        // Shard by bank. Shards are disjoint and each preserves batch order,
-        // so per-bank service is identical no matter which worker runs it.
-        let mut shards: Vec<(usize, Vec<usize>)> =
-            (0..shared.num_banks()).map(|b| (b, Vec::new())).collect();
-        for (i, (_, r, _)) in entries.iter().enumerate() {
-            shards[shared.bank_of(r.block)].1.push(i);
-        }
-        shards.retain(|(_, s)| !s.is_empty());
-        let serve_shard = |bank: usize, shard: &[usize]| -> Vec<(usize, Cycle)> {
-            shared.with_bank(bank, |partition| {
-                shard
-                    .iter()
-                    .map(|&i| {
-                        let (_, r, at_l2) = &entries[i];
-                        let done = if r.bypass {
-                            partition.access_bypass_tagged(r.block, r.tenant, *at_l2)
-                        } else {
-                            partition.access_tagged(r.block, r.wid, r.tenant, r.is_write, *at_l2)
-                        };
-                        (i, done)
-                    })
-                    .collect()
-            })
-        };
-        let mut done_at = vec![0 as Cycle; entries.len()];
-        if service_threads <= 1 || shards.len() <= 1 || entries.len() < PARALLEL_SERVICE_MIN_BATCH {
-            // Small batches: serve request-at-a-time through the
-            // event-granular bank entry point (identical per-bank order and
-            // counters; the shard machinery only pays off with workers).
-            for (i, (_, r, at_l2)) in entries.iter().enumerate() {
-                done_at[i] =
-                    shared.serve_event(r.block, r.wid, r.tenant, r.is_write, r.bypass, *at_l2);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let served: Vec<Vec<(usize, Cycle)>> = std::thread::scope(|scope| {
-                let workers = service_threads.min(shards.len());
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (next, shards, serve_shard) = (&next, &shards, &serve_shard);
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                let Some((bank, shard)) = shards.get(k) else { break };
-                                out.extend(serve_shard(*bank, shard));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("service worker panicked")).collect()
-            });
-            for list in served {
-                for (i, done) in list {
-                    done_at[i] = done;
-                }
-            }
-        }
-        profiler.exit();
         // Reads produce replies; they enter the reply reorder window rather
         // than the fabric directly, so one batch's slow DRAM stragglers never
         // charge phantom queueing against the next batch's fast completions.
-        entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, r, _))| !r.is_write)
-            .map(|(i, (sm, r, _))| RawCompletion {
-                sm: *sm,
-                seq: r.seq,
-                done: done_at[i],
-                tenant: r.tenant,
-                event: r.event,
+        let completions = batch
+            .into_iter()
+            .filter_map(|(sm, r)| {
+                let at_l2 = fabric.request_transfer(line_size, r.arrive, r.tenant);
+                let done = shared.serve(r.block, r.wid, r.tenant, r.is_write, r.bypass, at_l2);
+                (!r.is_write).then_some(RawCompletion {
+                    sm,
+                    seq: r.seq,
+                    done,
+                    tenant: r.tenant,
+                    event: r.event,
+                })
             })
-            .collect()
-    }
-
-    /// Event-granular replica of [`Gpu::serve_batch`]: the same fabric
-    /// charges and bank accesses at the same cycles, but driven through a
-    /// [`TimeQueue`] instead of a batch-major walk. Unit 0 (the request
-    /// fabric) wakes at each request's true port-arrival cycle and charges
-    /// the chip-wide link budget in batch order (arrivals are non-decreasing,
-    /// ties break fabric-before-bank); the charged request joins its owning
-    /// bank's FIFO and the bank unit wakes at the head request's
-    /// fabric-delivery cycle to serve it. Per-bank service order equals
-    /// charge order equals batch order, so every counter and completion cycle
-    /// is identical to the shard walk — request at a time, no threads.
-    fn serve_batch_event(
-        shared: Option<&BankedMemorySystem>,
-        fabric: Option<&mut CrossbarFabric>,
-        batch: Vec<(usize, MemRequest)>,
-        line_size: u64,
-        pump: &mut ServePump,
-        profiler: &mut PhaseProfiler,
-    ) -> Vec<RawCompletion> {
-        let (Some(shared), Some(fabric)) = (shared, fabric) else { return Vec::new() };
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        profiler.enter("serve-events");
-        let n = batch.len();
-        let mut at_l2 = vec![0 as Cycle; n];
-        let mut done_at = vec![0 as Cycle; n];
-        let timeq = &mut pump.timeq;
-        let fifos = &mut pump.fifos;
-        debug_assert!(fifos.iter().all(|f| f.is_empty()), "pump must drain between batches");
-        let mut next_req = 0usize;
-        timeq.schedule(0, batch[0].1.arrive);
-        while let Some((_, unit)) = timeq.pop_next() {
-            if unit == 0 {
-                // Fabric: charge the next request of the batch at its arrival.
-                let r = &batch[next_req].1;
-                let t = fabric.request_transfer(line_size, r.arrive, r.tenant);
-                at_l2[next_req] = t;
-                let bank = shared.bank_of(r.block);
-                if fifos[bank].is_empty() {
-                    timeq.schedule(1 + bank, t);
-                }
-                fifos[bank].push_back(next_req);
-                next_req += 1;
-                if next_req < n {
-                    timeq.schedule(0, batch[next_req].1.arrive);
-                }
-            } else {
-                // Bank: serve its FIFO head at the head's delivery instant.
-                let bank = unit - 1;
-                let i = fifos[bank].pop_front().expect("bank event without a queued request");
-                let r = &batch[i].1;
-                done_at[i] = shared
-                    .serve_event_at(bank, r.block, r.wid, r.tenant, r.is_write, r.bypass, at_l2[i]);
-                if let Some(&next) = fifos[bank].front() {
-                    timeq.schedule(1 + bank, at_l2[next]);
-                }
-            }
-        }
+            .collect();
         profiler.exit();
-        // Reads produce replies; they enter the reply reorder window rather
-        // than the fabric directly (see `serve_batch`).
-        batch
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, r))| !r.is_write)
-            .map(|(i, (sm, r))| RawCompletion {
-                sm: *sm,
-                seq: r.seq,
-                done: done_at[i],
-                tenant: r.tenant,
-                event: r.event,
-            })
-            .collect()
+        completions
     }
 
     /// Merges freshly served completions into the reply reorder window and
@@ -1516,132 +1124,74 @@ impl Gpu {
         out
     }
 
-    /// Delivers served read responses into their SMs' event queues and
-    /// refreshes every SM's DRAM-utilisation snapshot for the next epoch.
-    fn deliver_responses(
-        sms: &[Mutex<Sm>],
-        shared: Option<&BankedMemorySystem>,
-        responses: &[ReadyResponse],
-        now: Cycle,
-    ) {
-        let Some(shared) = shared else { return };
-        for r in responses {
-            sms[r.sm].lock().deliver(r.done, r.event);
-        }
-        let util = shared.dram_bandwidth_utilization(now.max(1));
-        for sm in sms {
-            sm.lock().set_dram_utilization(util);
-        }
-    }
-
     /// Epoch-boundary dispatch: appends deferred arrival batches whose cycle
     /// has come and lets the adaptive dispatcher admit, decide and feed.
-    /// Returns whether any work reached an SM.
-    fn dispatch_boundary(
-        sms: &[Mutex<Sm>],
-        shared: Option<&BankedMemorySystem>,
-        adaptive: &mut Option<AdaptiveDispatcher>,
-        deferred: &mut Vec<DeferredBatch>,
-        num_tenants: usize,
-        now: Cycle,
-    ) -> bool {
-        let mut progressed = false;
-        while deferred.first().is_some_and(|b| b.arrival <= now) {
-            let batch = deferred.remove(0);
-            for (sm, work) in batch.per_sm.into_iter().enumerate() {
-                if !work.is_empty() {
-                    sms[sm].lock().push_work(work, now);
-                    progressed = true;
-                }
-            }
-        }
-        if let Some(dispatcher) = adaptive {
-            let signals = Self::tenant_signals(sms, shared, num_tenants);
-            let free: Vec<usize> = sms.iter().map(|s| s.lock().free_warp_slots()).collect();
-            for (sm, work) in dispatcher.on_boundary(now, &signals, &free) {
-                sms[sm].lock().push_work(work, now);
-                progressed = true;
-            }
-        }
-        progressed
-    }
-
-    /// [`Gpu::dispatch_boundary`] for the parking event engine: identical
-    /// admission/decision/feed protocol, but an SM receiving work while
-    /// parked is first caught up to the boundary (its lag is a provably pure
-    /// idle span — the oracle advanced it to every boundary — so one
-    /// closed-form settle against the boundary snapshot replays exactly what
-    /// per-boundary stepping would have done), and every SM that received
-    /// work has its wakeup hint pulled forward to the boundary.
+    /// Returns whether any work reached an SM. In the event mode (`timeq`
+    /// present) an SM receiving work while parked is first caught up to the
+    /// boundary — its lag is a provably pure idle span, so one closed-form
+    /// settle against the boundary snapshot replays exactly what
+    /// per-boundary stepping would have done — and its wakeup is pulled
+    /// forward to the boundary.
     #[allow(clippy::too_many_arguments)]
-    fn dispatch_boundary_event(
-        sms: &[Mutex<Sm>],
+    fn dispatch_boundary(
+        sms: &mut [Sm],
         shared: Option<&BankedMemorySystem>,
         adaptive: &mut Option<AdaptiveDispatcher>,
         deferred: &mut Vec<DeferredBatch>,
         num_tenants: usize,
         now: Cycle,
-        timeq: &mut TimeQueue,
+        mut timeq: Option<&mut TimeQueue>,
         boundary_util: f64,
     ) -> bool {
-        let has_shared = shared.is_some();
         let mut progressed = false;
         while deferred.first().is_some_and(|b| b.arrival <= now) {
             let batch = deferred.remove(0);
-            for (sm, work) in batch.per_sm.into_iter().enumerate() {
+            for (unit, work) in batch.per_sm.into_iter().enumerate() {
                 if !work.is_empty() {
-                    Self::deal_event(sms, sm, work, now, timeq, boundary_util, has_shared);
+                    Self::deal(&mut sms[unit], work, now, boundary_util);
+                    if let Some(q) = timeq.as_deref_mut() {
+                        q.schedule_min(unit, now);
+                    }
                     progressed = true;
                 }
             }
         }
         if let Some(dispatcher) = adaptive {
             let signals = Self::tenant_signals(sms, shared, num_tenants);
-            let free: Vec<usize> = sms.iter().map(|s| s.lock().free_warp_slots()).collect();
-            for (sm, work) in dispatcher.on_boundary(now, &signals, &free) {
-                Self::deal_event(sms, sm, work, now, timeq, boundary_util, has_shared);
+            let free: Vec<usize> = sms.iter().map(Sm::free_warp_slots).collect();
+            for (unit, work) in dispatcher.on_boundary(now, &signals, &free) {
+                Self::deal(&mut sms[unit], work, now, boundary_util);
+                if let Some(q) = timeq.as_deref_mut() {
+                    q.schedule_min(unit, now);
+                }
                 progressed = true;
             }
         }
         progressed
     }
 
-    /// Hands a dealt work batch to an SM on the event path: settle any
-    /// parked idle lag first (new CTAs must launch *after* the idle span is
-    /// accounted, matching the oracle's advance-then-dispatch boundary
-    /// order), then push the work and wake the SM at the boundary.
-    fn deal_event(
-        sms: &[Mutex<Sm>],
-        unit: usize,
-        work: Vec<crate::dispatch::CtaWork>,
-        now: Cycle,
-        timeq: &mut TimeQueue,
-        boundary_util: f64,
-        has_shared: bool,
-    ) {
-        let mut sm = sms[unit].lock();
-        if !sm.is_done() && !sm.hit_cap() && sm.cycle() < now {
-            if has_shared {
-                sm.set_dram_utilization(boundary_util);
-            }
-            sm.run_epoch_event(now);
+    /// Hands a dealt work batch to an SM. An SM parked behind the boundary
+    /// settles its idle lag first: new CTAs must launch *after* the idle
+    /// span is accounted, matching the reference's advance-then-dispatch
+    /// boundary order.
+    fn deal(sm: &mut Sm, work: Vec<CtaWork>, now: Cycle, boundary_util: f64) {
+        if sm.is_live() && sm.cycle() < now {
+            sm.set_dram_utilization(boundary_util);
+            sm.advance(now, true);
         }
         sm.push_work(work, now);
-        drop(sm);
-        timeq.schedule_min(unit, now);
     }
 
     /// Cumulative per-tenant monitor signals at an epoch boundary: L1 and
     /// CTA-retire counters summed over the SMs, L2/DRAM attribution read from
     /// the shared backend (or the single SM's private partition).
     fn tenant_signals(
-        sms: &[Mutex<Sm>],
+        sms: &[Sm],
         shared: Option<&BankedMemorySystem>,
         num_tenants: usize,
     ) -> Vec<TenantSignal> {
         let mut out = vec![TenantSignal::default(); num_tenants];
         for sm in sms {
-            let sm = sm.lock();
             for (t, stats) in sm.tenant_stats().iter().enumerate().take(num_tenants) {
                 out[t].l1_accesses += stats.l1d_accesses;
                 out[t].l1_hits += stats.l1d_hits;
@@ -1676,7 +1226,7 @@ impl Gpu {
     /// whichever memory system served the run).
     pub fn into_result(mut self) -> SimResult {
         for sm in &mut self.sms {
-            sm.get_mut().finalize_stats();
+            sm.finalize_stats();
         }
         let num_sms = self.sms.len();
         let num_tenants = self.tenant_names.len();
@@ -1689,8 +1239,7 @@ impl Gpu {
             vec![TenantStats { done: true, ..TenantStats::default() }; num_tenants];
         let mut tenant_mem: Vec<TenantMemStats> = Vec::new();
         let interconnect = {
-            let sms: Vec<&Sm> = self.sms.iter_mut().map(|s| &*s.get_mut()).collect();
-            for sm in &sms {
+            for sm in &self.sms {
                 per_sm.push(sm.stats().clone());
                 interference.absorb(sm.interference_matrix());
                 scheduler_metrics.merge(&sm.scheduler().metrics());
@@ -1705,7 +1254,7 @@ impl Gpu {
                     merge_tenant_stats(&mut tenant_mem, &table);
                 }
             }
-            Crossbar::aggregate(sms.iter().map(|sm| sm.interconnect()))
+            Crossbar::aggregate(self.sms.iter().map(Sm::interconnect))
         };
         if let Some(shared) = &self.shared {
             merge_tenant_stats(&mut tenant_mem, &shared.tenant_stats());
@@ -1736,8 +1285,7 @@ impl Gpu {
                 mem: tenant_mem[t],
             })
             .collect();
-        let time_series =
-            TimeSeries::merge_sorted(self.sms.iter_mut().map(|s| s.get_mut().time_series()));
+        let time_series = TimeSeries::merge_sorted(self.sms.iter().map(Sm::time_series));
         let mut stats = SmStats::reduce(&per_sm);
         stats.cycles = cycles;
         if let Some(shared) = &self.shared {
@@ -1807,7 +1355,7 @@ mod tests {
             DispatchPolicy::SharedRoundRobin,
             units(2),
         );
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert_eq!(res.per_tenant.len(), 2);
         assert_eq!(res.kernel, "gpu-unit+gpu-unit");
@@ -1830,7 +1378,7 @@ mod tests {
     fn multi_sm_runs_all_instructions() {
         let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(4, 10), units(2));
         assert_eq!(gpu.num_sms(), 2);
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         assert_eq!(res.num_sms, 2);
@@ -1849,7 +1397,7 @@ mod tests {
     fn multi_sm_is_deterministic() {
         let run = || {
             let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(8, 25), units(4));
-            gpu.run();
+            gpu.run(BackendKind::Event);
             gpu.into_result()
         };
         let a = run();
@@ -1872,7 +1420,7 @@ mod tests {
             DispatchPolicy::SharedRoundRobin,
             units(2),
         );
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         // Both grids executed fully; the late tenant finished after arriving.
@@ -1893,7 +1441,7 @@ mod tests {
             DispatchPolicy::SharedRoundRobin,
             units(2),
         );
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         assert_eq!(res.stats.instructions, 2 * (2 * 4));
@@ -1916,7 +1464,7 @@ mod tests {
                 let stream = KernelStream::new(0, kernel(ctas, ops));
                 let mut gpu =
                     Gpu::with_streams(GpuConfig::gtx480(), vec![stream], policy, units(sms));
-                gpu.run();
+                gpu.run(BackendKind::Event);
                 gpu.into_result()
             };
             let a = run(DispatchPolicy::Exclusive);
@@ -1934,14 +1482,14 @@ mod tests {
     fn more_sms_do_not_slow_the_chip() {
         let cycles = |n: usize| {
             let mut gpu = Gpu::new(GpuConfig::gtx480(), kernel(8, 20), units(n));
-            gpu.run();
+            gpu.run(BackendKind::Event);
             gpu.into_result().cycles
         };
         assert!(cycles(2) <= cycles(1));
     }
 
-    /// A streaming kernel wide enough to push the per-epoch batch past the
-    /// parallel-service threshold on a several-SM chip.
+    /// A streaming kernel: eight warps per CTA whose every load misses
+    /// everywhere, so each epoch's batch is wide on a several-SM chip.
     fn streaming_kernel(ctas: usize, ops: usize) -> Arc<dyn Kernel> {
         let info = KernelInfo {
             name: "stream".into(),
@@ -1965,7 +1513,7 @@ mod tests {
     #[test]
     fn fabric_accounts_every_downstream_request_in_both_directions() {
         let mut gpu = Gpu::new(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
-        gpu.run();
+        gpu.run(BackendKind::Event);
         let res = gpu.into_result();
         assert!(!res.capped);
         // Every injection-port transfer pairs with exactly one downstream
@@ -1989,34 +1537,8 @@ mod tests {
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-        /// Bank-sharded barrier service is a pure wall-clock knob: the fully
-        /// serialised `SimResult` is byte-identical across service-thread
-        /// counts for arbitrary bank counts (1 disables sharding, larger
-        /// counts exercise the parallel path once batches are big enough).
-        #[test]
-        fn service_thread_count_never_changes_results(
-            banks in 1usize..9,
-            sms in 2usize..7,
-            ctas in 2usize..8,
-            ops in 8usize..32,
-        ) {
-            let run = |threads: usize| {
-                let config =
-                    GpuConfig::gtx480().with_l2_banks(banks).with_service_threads(threads);
-                let mut gpu = Gpu::new(config, streaming_kernel(ctas, ops), units(sms));
-                gpu.run();
-                serde_json::to_string(&gpu.into_result()).expect("serialise")
-            };
-            let serial = run(1);
-            prop_assert_eq!(&serial, &run(2));
-            prop_assert_eq!(&serial, &run(8));
-        }
-    }
-
     /// Serialises a finished chip's result with the backend label blanked,
-    /// so epoch- and event-driven runs can be compared field for field.
+    /// so reference- and event-mode runs can be compared field for field.
     fn normalized_json(gpu: Gpu) -> String {
         let mut res = gpu.into_result();
         res.backend = String::new();
@@ -2024,54 +1546,54 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-        /// The event-driven core is bit-identical to the epoch oracle across
-        /// chip widths, dispatch policies, and dynamic arrivals — every stat,
-        /// time-series point, and dispatch-log entry must match exactly.
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+        /// The event mode is bit-identical to the reference mode across chip
+        /// widths, every dispatch policy, dynamic arrivals, and reuse or
+        /// streaming tenants — every stat, time-series point, and
+        /// dispatch-log entry must match exactly.
         #[test]
-        fn event_backend_matches_epoch_oracle(
-            sms in 1usize..6,
+        fn event_mode_matches_reference_mode(
+            sms in 1usize..8,
             ctas in 1usize..6,
             ops in 1usize..16,
-            arrival in 0u64..3_000,
-            policy_idx in 0usize..3,
+            arrival in 0u64..20_000,
+            policy_idx in 0usize..4,
+            streaming in 0usize..4,
         ) {
-            let policy = [
-                DispatchPolicy::SpatialPartition,
-                DispatchPolicy::SharedRoundRobin,
-                DispatchPolicy::InterferenceAware,
-            ][policy_idx];
-            let run = |event: bool| {
-                let streams = vec![
-                    KernelStream::new(0, kernel(ctas, ops)),
-                    KernelStream::new_at(1, kernel(ctas, ops), arrival),
-                ];
-                let mut gpu =
-                    Gpu::with_streams(GpuConfig::gtx480(), streams, policy, units(sms));
-                if event { gpu.run_event() } else { gpu.run() };
-                normalized_json(gpu)
+            let policy = DispatchPolicy::all()[policy_idx];
+            let make = |tenant: usize| {
+                if streaming >> tenant & 1 == 1 {
+                    streaming_kernel(ctas, ops)
+                } else {
+                    kernel(ctas, ops)
+                }
             };
-            prop_assert_eq!(run(false), run(true));
+            let run = |backend: BackendKind| {
+                let mut queue = crate::dispatch::KernelQueue::new();
+                queue.push(make(0));
+                queue.push_at(make(1), arrival);
+                let config = GpuConfig::gtx480().with_num_sms(sms);
+                let mut res = queue.run_with(&config, policy, backend, |_| units(1).remove(0));
+                res.backend.clear();
+                serde_json::to_string(&res).expect("serialise")
+            };
+            prop_assert_eq!(run(BackendKind::Epoch), run(BackendKind::Event));
         }
     }
 
     #[test]
     fn event_backend_matches_epoch_on_streaming_chip() {
-        let run = |event: bool| {
+        let run = |backend| {
             let mut gpu = Gpu::new(GpuConfig::gtx480(), streaming_kernel(8, 30), units(4));
-            if event {
-                gpu.run_event()
-            } else {
-                gpu.run()
-            };
+            gpu.run(backend);
             normalized_json(gpu)
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(BackendKind::Epoch), run(BackendKind::Event));
     }
 
     #[test]
     fn event_backend_fast_forwards_far_arrivals_too() {
-        let run = |event: bool| {
+        let run = |backend| {
             let streams = vec![
                 KernelStream::new(0, kernel(1, 4)),
                 KernelStream::new_at(1, kernel(1, 4), 1_000_000),
@@ -2082,15 +1604,11 @@ mod tests {
                 DispatchPolicy::SharedRoundRobin,
                 units(2),
             );
-            if event {
-                gpu.run_event()
-            } else {
-                gpu.run()
-            };
+            gpu.run(backend);
             gpu.into_result()
         };
-        let epoch = run(false);
-        let event = run(true);
+        let epoch = run(BackendKind::Epoch);
+        let event = run(BackendKind::Event);
         assert_eq!(event.backend, "event");
         assert_eq!(epoch.cycles, event.cycles);
         assert_eq!(epoch.stats, event.stats);
@@ -2099,7 +1617,7 @@ mod tests {
 
     #[test]
     fn observability_never_changes_results_and_traces_identically_across_backends() {
-        let run = |event: bool, obs: ObsLevel| {
+        let run = |backend, obs: ObsLevel| {
             let streams = vec![
                 KernelStream::new(0, kernel(3, 12)),
                 KernelStream::new_at(1, kernel(3, 12), 500),
@@ -2111,20 +1629,16 @@ mod tests {
                 units(4),
             );
             gpu.set_obs(obs);
-            if event {
-                gpu.run_event()
-            } else {
-                gpu.run()
-            };
+            gpu.run(backend);
             let report = gpu.take_obs();
             (normalized_json(gpu), report)
         };
-        let (plain, off) = run(false, ObsLevel::Off);
+        let (plain, off) = run(BackendKind::Epoch, ObsLevel::Off);
         assert!(off.events.is_empty());
-        let (epoch, a) = run(false, ObsLevel::Full);
-        let (event, b) = run(true, ObsLevel::Full);
+        let (epoch, a) = run(BackendKind::Epoch, ObsLevel::Full);
+        let (event, b) = run(BackendKind::Event, ObsLevel::Full);
         // Collection is passive: the simulated outcome is byte-identical
-        // with observability off, on, and across timing backends.
+        // with observability off, on, and across timing modes.
         assert_eq!(plain, epoch);
         assert_eq!(epoch, event);
         // And the canonical sim-time trace itself is backend-invariant.
@@ -2132,7 +1646,7 @@ mod tests {
         assert_eq!(a.metrics_json(), b.metrics_json());
         assert!(!a.events.is_empty());
         assert_eq!(a.dropped_events, 0);
-        // The event backend records engine pops; they stay out of the
+        // The event mode records engine pops; they stay out of the
         // canonical export but surface in the raw event list.
         assert!(b.events.iter().any(|e| e.name == "pop"));
         assert!(!a.events.iter().any(|e| e.name == "pop"));
@@ -2148,18 +1662,9 @@ mod tests {
         queue.push_at(kernel(3, 12), 5_000);
         let config = GpuConfig::gtx480().with_num_sms(3);
         let build = |_: usize| (Box::new(GtoScheduler::new()) as Box<dyn WarpScheduler>, None);
-        let epoch = queue.run_with(
-            &config,
-            DispatchPolicy::Exclusive,
-            crate::event::BackendKind::Epoch,
-            build,
-        );
-        let mut event = queue.run_with(
-            &config,
-            DispatchPolicy::Exclusive,
-            crate::event::BackendKind::Event,
-            build,
-        );
+        let epoch = queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Epoch, build);
+        let mut event =
+            queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Event, build);
         assert_eq!(event.backend, "event");
         event.backend = epoch.backend.clone();
         assert_eq!(serde_json::to_string(&epoch).unwrap(), serde_json::to_string(&event).unwrap());

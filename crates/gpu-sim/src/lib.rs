@@ -32,20 +32,18 @@
 //!   chip-level analogue of CIAO-T), and the chip-level
 //!   [`dispatch::KernelQueue`].
 //! * [`gpu`] — the multi-SM chip engine: per-SM crossbar/memory ports and
-//!   the deterministic barrier-synchronised epoch loop driving the SMs in
-//!   parallel against a shared banked L2/DRAM backend with per-tenant
-//!   attribution.
+//!   the deterministic epoch-boundary loop driving the SMs against a shared
+//!   banked L2/DRAM backend with per-tenant attribution.
 //! * [`stats`] — counters, per-SM → chip reduction, per-tenant counters and
 //!   the STP/ANTT co-execution metrics, time series (Figs. 9/10) and the
 //!   inter-warp interference matrix (Figs. 1a/4a).
-//! * [`event`], [`timeq`] — the timing backends: the [`event::TimingBackend`]
-//!   strategy interface over the cycle-stepping epoch oracle and the
-//!   event-driven core (next-event advancement ordered by a
-//!   [`timeq::TimeQueue`], bulk idle-cycle skipping), selectable by
-//!   [`event::BackendKind`] and bit-identical to each other.
+//! * [`event`], [`timeq`] — the timing modes of the engine loop, selected by
+//!   [`event::BackendKind`] and bit-identical to each other: the event mode
+//!   (next-event advancement ordered by a [`timeq::TimeQueue`], bulk
+//!   idle-cycle skipping) and the per-cycle reference mode.
 //! * [`simulator`] — one-call driver: describe a run with a
 //!   [`simulator::SimRequest`] (streams, arrivals, policy, SM count, timing
-//!   backend) and execute it with [`simulator::Simulator::execute`] to get a
+//!   mode) and execute it with [`simulator::Simulator::execute`] to get a
 //!   [`simulator::SimResult`].
 
 #![deny(missing_docs)]
@@ -72,7 +70,7 @@ pub use dispatch::{
     dispatch_round_robin, spatial_sm_sets, AdaptiveDispatcher, CtaWork, DispatchPolicy,
     KernelQueue, KernelStream, LatencyClass, QosSpec, TenantSignal,
 };
-pub use event::{BackendKind, EpochBackend, EventBackend, TimingBackend};
+pub use event::BackendKind;
 pub use gpu::{Gpu, MemRequest, MemoryPort, SmUnit};
 pub use kernel::{Kernel, KernelInfo, OffsetKernel};
 pub use redirect::{RedirectCache, RedirectLookup};

@@ -2,7 +2,7 @@
 //!
 //! Describe a run with a [`SimRequest`] — kernel streams with arrival
 //! cycles, the [`DispatchPolicy`], the SM count, and the
-//! [`BackendKind`] timing backend — then hand it to
+//! [`BackendKind`] timing mode — then hand it to
 //! [`Simulator::execute`], which wraps [`Sm`] / [`crate::gpu::Gpu`]
 //! construction and the
 //! run loop and packages everything the experiment harness needs (aggregate
@@ -109,8 +109,8 @@ impl TenantResult {
 pub struct SimResult {
     /// Version of this JSON shape; see [`SCHEMA_VERSION`].
     pub schema_version: u32,
-    /// Label of the timing backend that produced the result
-    /// ([`BackendKind::label`]: `"epoch"` or `"event"`). Both backends are
+    /// Label of the timing mode that produced the result
+    /// ([`BackendKind::label`]: `"epoch"` or `"event"`). Both modes are
     /// bit-identical in every other field.
     pub backend: String,
     /// Name of the scheduler that produced this result.
@@ -179,7 +179,7 @@ impl SimResult {
 /// A builder-style description of one simulation run: which kernel streams
 /// to co-execute (with their arrival cycles and [`QosSpec`] contracts),
 /// under which [`DispatchPolicy`], on how many SMs, driven by which
-/// [`BackendKind`] timing backend. Consumed by [`Simulator::execute`].
+/// [`BackendKind`] timing mode. Consumed by [`Simulator::execute`].
 #[derive(Clone)]
 pub struct SimRequest {
     kernels: Vec<Arc<dyn Kernel>>,
@@ -207,7 +207,7 @@ impl Default for SimRequest {
 
 impl SimRequest {
     /// An empty request: no streams yet, [`DispatchPolicy::Exclusive`], the
-    /// default (event) backend, and the configuration's SM count.
+    /// default (event) timing mode, and the configuration's SM count.
     pub fn new() -> Self {
         SimRequest::default()
     }
@@ -248,8 +248,8 @@ impl SimRequest {
         self
     }
 
-    /// Sets the timing backend (default [`BackendKind::Event`]; `epoch` is
-    /// the bit-exact reference oracle).
+    /// Sets the timing mode (default [`BackendKind::Event`]; `epoch` is the
+    /// per-cycle reference mode, bit-identical and slower).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -306,7 +306,7 @@ impl Simulator {
     ///   L2/DRAM backend via [`KernelQueue`] (see [`KernelQueue::run`] for
     ///   the policy semantics).
     ///
-    /// The [`BackendKind`] chooses the timing core; `epoch` and `event`
+    /// The [`BackendKind`] chooses the timing mode; `epoch` and `event`
     /// produce bit-identical results, differing only in wall-clock time.
     ///
     /// # Panics
@@ -383,10 +383,8 @@ impl Simulator {
             sm.set_trace(0);
         }
         profiler.enter("sm-run");
-        match backend {
-            BackendKind::Epoch => sm.run(),
-            BackendKind::Event => sm.run_event(),
-        };
+        sm.advance(Cycle::MAX, backend == BackendKind::Event);
+        sm.finalize_stats();
         profiler.exit();
         let mut report = ObsReport::new(obs);
         report.tenants = vec![kernel_name.clone()];
@@ -478,7 +476,7 @@ mod tests {
         let sim = Simulator::new(GpuConfig::gtx480().with_sample_interval(20));
         let res = sim.execute(SimRequest::kernel(kernel(20)).num_sms(1), gto);
         assert_eq!(res.schema_version, SCHEMA_VERSION);
-        assert_eq!(res.backend, "event", "the event core is the default backend");
+        assert_eq!(res.backend, "event", "the event mode is the default");
         assert_eq!(res.scheduler, "GTO");
         assert_eq!(res.kernel, "drv");
         assert!(!res.capped);
@@ -536,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_matches_epoch_on_single_sm() {
+    fn event_mode_matches_reference_on_single_sm() {
         let sim = Simulator::new(GpuConfig::gtx480());
         let epoch =
             sim.execute(SimRequest::kernel(kernel(30)).num_sms(1).backend(BackendKind::Epoch), gto);
@@ -548,7 +546,7 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&epoch).unwrap(),
             serde_json::to_string(&event).unwrap(),
-            "event backend must be bit-identical to the epoch oracle"
+            "event mode must be bit-identical to the reference mode"
         );
     }
 

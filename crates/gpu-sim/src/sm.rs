@@ -21,9 +21,9 @@
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
 //! partition in the legacy single-SM configuration, or a deferred port into
 //! the chip's pipelined shared backend (reorder window → request fabric →
-//! bank shards → reply fabric) when the SM is one of many driven by the
+//! L2/DRAM banks → reply fabric) when the SM is one of many driven by the
 //! [`crate::gpu::Gpu`] engine — which then advances the SM in epochs via
-//! [`Sm::run_epoch`], drains the port at epoch boundaries, and delivers the
+//! [`Sm::advance`], drains the port at epoch boundaries, and delivers the
 //! pipeline's responses with [`Sm::deliver`].
 
 use std::cmp::Reverse;
@@ -54,7 +54,7 @@ use sim_obs::{TraceEvent, TraceRecorder, Tracer, Track};
 
 /// A memory-system completion event scheduled for a future cycle (either
 /// computed synchronously by a private port or delivered by the chip engine
-/// at an epoch barrier).
+/// at an epoch boundary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ResponseEvent {
     /// An outstanding MSHR miss for this block completed.
@@ -319,46 +319,20 @@ impl Sm {
         false
     }
 
-    /// Runs until the kernel finishes or a cap is reached, returning the
-    /// number of cycles simulated.
-    pub fn run(&mut self) -> Cycle {
-        while !self.is_done() && !self.hit_cap() {
-            self.step();
-        }
-        self.finalize_stats();
-        self.cycle
+    /// True while the SM has unfinished work and no cap has been reached.
+    pub fn is_live(&self) -> bool {
+        !self.is_done() && !self.hit_cap()
     }
 
-    /// Advances the SM to (at most) cycle `until` — one epoch of the chip
-    /// engine's barrier-synchronised loop. Stops early when the kernel
-    /// finishes or a cap is hit. Does not finalise statistics.
-    pub fn run_epoch(&mut self, until: Cycle) {
-        while self.cycle < until && !self.is_done() && !self.hit_cap() {
-            self.step();
-        }
-    }
-
-    /// Event-driven equivalent of [`Sm::run`]: produces bit-identical state
-    /// and statistics, but fast-forwards over provably idle stretches (all
-    /// warps stalled, no response due) instead of stepping them one cycle at
-    /// a time. Returns the number of cycles simulated.
-    pub fn run_event(&mut self) -> Cycle {
-        while !self.is_done() && !self.hit_cap() {
-            match self.idle_skip_target(Cycle::MAX) {
-                Some(target) => self.skip_idle_to(target),
-                None => self.step(),
-            }
-        }
-        self.finalize_stats();
-        self.cycle
-    }
-
-    /// Event-driven equivalent of [`Sm::run_epoch`]: advances to (at most)
-    /// cycle `until`, fast-forwarding idle stretches. Bit-identical to
-    /// stepping every cycle.
-    pub fn run_epoch_event(&mut self, until: Cycle) {
-        while self.cycle < until && !self.is_done() && !self.hit_cap() {
-            match self.idle_skip_target(until) {
+    /// Advances the SM to (at most) cycle `until`, stopping early when its
+    /// work finishes or a cap is hit. With `skip_idle` the SM fast-forwards
+    /// over provably idle stretches (all warps stalled, no response due) in
+    /// closed form; without it every cycle is stepped. Both produce
+    /// bit-identical state and statistics. Does not finalise statistics.
+    pub fn advance(&mut self, until: Cycle, skip_idle: bool) {
+        while self.cycle < until && self.is_live() {
+            let skip_to = if skip_idle { self.idle_skip_target(until) } else { None };
+            match skip_to {
                 Some(target) => self.skip_idle_to(target),
                 None => self.step(),
             }
@@ -453,7 +427,7 @@ impl Sm {
         // A skippable stretch is idle by definition, so the busy span (if
         // open) ends where the stretch starts — exactly where the stepped
         // path would have closed it. The skip itself is engine mechanics:
-        // only the event backend takes it, so the span is engine-category
+        // only the event mode takes it, so the span is engine-category
         // and excluded from the canonical (backend-invariant) export.
         self.close_busy_span(self.cycle);
         if let Some(trace) = &mut self.trace {
@@ -899,7 +873,7 @@ impl Sm {
 
     /// Issues a read to the downstream port; a synchronous (private) port
     /// yields the completion immediately, a deferred one delivers `ev` after
-    /// the epoch barrier.
+    /// the next epoch boundary.
     fn mem_read(
         &mut self,
         block: Addr,
@@ -1219,6 +1193,12 @@ mod tests {
     use crate::scheduler::GtoScheduler;
     use crate::trace::{VecProgram, WarpOp};
 
+    /// Runs the SM until its kernel finishes or a cap is hit.
+    fn run_to_end(sm: &mut Sm, skip_idle: bool) {
+        sm.advance(Cycle::MAX, skip_idle);
+        sm.finalize_stats();
+    }
+
     fn simple_kernel(ctas: usize, warps: usize, ops_per_warp: usize) -> Box<dyn Kernel> {
         let info = KernelInfo {
             name: "unit".into(),
@@ -1245,7 +1225,7 @@ mod tests {
     fn runs_to_completion() {
         let mut sm =
             Sm::new(small_config(), simple_kernel(2, 4, 10), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert!(sm.is_done());
         let s = sm.stats();
         // 2 CTAs * 4 warps * 20 ops each
@@ -1270,7 +1250,7 @@ mod tests {
             Box::new(VecProgram::new(ops))
         });
         let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert!(sm.is_done());
         assert_eq!(sm.stats().barriers, 2);
     }
@@ -1281,7 +1261,7 @@ mod tests {
         let mut sm =
             Sm::new(small_config(), simple_kernel(4, 24, 2), Box::new(GtoScheduler::new()), None);
         assert_eq!(sm.stats.max_resident_ctas.max(sm.resident.len()), 2);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert!(sm.is_done());
         assert_eq!(sm.stats().instructions, 4 * 24 * 4);
     }
@@ -1299,7 +1279,7 @@ mod tests {
         let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
         // 30 KB per CTA on a 48 KB scratchpad: only one CTA resident at a time.
         assert_eq!(sm.resident.len(), 1);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert!(sm.is_done());
         assert_eq!(sm.stats().peak_cta_shared_mem, 30 * 1024);
     }
@@ -1308,7 +1288,7 @@ mod tests {
     fn instruction_cap_stops_simulation() {
         let cfg = small_config().with_max_instructions(37);
         let mut sm = Sm::new(cfg, simple_kernel(1, 8, 1000), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert!(!sm.is_done());
         assert!(sm.stats().instructions >= 37);
         assert!(sm.stats().instructions < 37 + 8);
@@ -1330,7 +1310,7 @@ mod tests {
             Box::new(VecProgram::new(ops))
         });
         let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         let s = sm.stats();
         assert_eq!(s.l1d.misses(), 1);
         assert_eq!(s.l1d.hits(), 49);
@@ -1364,7 +1344,7 @@ mod tests {
             Box::new(VecProgram::new(ops))
         });
         let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         let s = sm.stats();
         assert!(s.cross_warp_evictions > 0, "expected cross-warp evictions");
         assert!(sm.interference_matrix().total() > 0);
@@ -1374,7 +1354,7 @@ mod tests {
     fn time_series_sampled() {
         let cfg = small_config().with_sample_interval(10);
         let mut sm = Sm::new(cfg, simple_kernel(1, 4, 50), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert!(!sm.time_series().is_empty());
         let pts = sm.time_series().points();
         for w in pts.windows(2) {
@@ -1396,7 +1376,7 @@ mod tests {
             Box::new(VecProgram::new(ops))
         });
         let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         // 20 stores with no load stalls should finish quickly (well under the
         // DRAM round-trip × 20 it would take if stores blocked).
         assert!(
@@ -1418,7 +1398,7 @@ mod tests {
             if traced {
                 sm.set_trace(7);
             }
-            sm.run();
+            run_to_end(&mut sm, false);
             let events = sm.take_trace().map(|mut t| t.take()).unwrap_or_default();
             (sm.stats().clone(), sm.cycle(), events)
         };
@@ -1445,11 +1425,7 @@ mod tests {
                 None,
             );
             sm.set_trace(0);
-            if event {
-                sm.run_event();
-            } else {
-                sm.run();
-            }
+            run_to_end(&mut sm, event);
             sm.take_trace().expect("tracing on").take()
         };
         let stepped = run(false);
@@ -1488,7 +1464,7 @@ mod tests {
             Box::new(VecProgram::new(ops))
         });
         let mut sm = Sm::new(small_config(), Box::new(kernel), Box::new(GtoScheduler::new()), None);
-        sm.run();
+        run_to_end(&mut sm, false);
         assert_eq!(sm.stats().shared_mem_instructions, 2);
         assert_eq!(sm.stats().mem_instructions, 0);
     }

@@ -7,8 +7,8 @@
 //! experiments: table1 table2 fig1 fig4 fig8 fig9 fig10 fig11 fig12 overhead mix perf all
 //! ```
 //!
-//! `--sms N` simulates every run on an N-SM chip (parallel per-SM execution
-//! against a shared banked L2/DRAM); the default of 1 is the legacy
+//! `--sms N` simulates every run on an N-SM chip (one engine per SM against
+//! a shared banked L2/DRAM); the default of 1 is the legacy
 //! single-SM model all recorded baselines use. `--seed N` replicates every
 //! synthetic trace under a different seed (0 = the historical traces).
 //!
@@ -25,9 +25,9 @@
 //! interference-aware dispatch with CIAO-T) and writes a Perfetto-loadable
 //! Chrome trace (`--trace-out`, default `run.trace.json`) plus the metrics
 //! registry (`--metrics-out`, default `metrics.json`). `profile` runs the
-//! same co-run under **both** timing backends and prints each wall-clock
-//! phase table. `--obs {off,metrics,full}` arms observability on any other
-//! experiment; `-v`/`--quiet` adjust diagnostic verbosity.
+//! same co-run at metrics level and prints its wall-clock phase table.
+//! `--obs {off,metrics,full}` arms observability on any other experiment;
+//! `-v`/`--quiet` adjust diagnostic verbosity.
 //!
 //! `fleet` runs the cluster tier: `--chips N` chips of `--sms N` SMs fed by
 //! `--arrivals N` open-loop kernel arrivals (`--traffic` picks the profile,
@@ -57,7 +57,7 @@ use ciao_harness::report::write_json;
 use ciao_harness::runner::{log, set_verbosity, RunPlan, RunScale, Runner};
 use ciao_harness::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, Mix};
-use gpu_sim::{BackendKind, DispatchPolicy, ObsLevel};
+use gpu_sim::{DispatchPolicy, ObsLevel};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -68,7 +68,6 @@ struct Options {
     sms: usize,
     seeds: Vec<u64>,
     arrivals: u64,
-    backend: BackendKind,
     baseline: PathBuf,
     bench_out: PathBuf,
     allow_missing_baseline: bool,
@@ -115,7 +114,6 @@ fn parse_args() -> Options {
     let mut sms = 1usize;
     let mut seeds = vec![0u64];
     let mut arrivals = 0u64;
-    let mut backend = BackendKind::default();
     let mut baseline = PathBuf::from("bench/baseline.json");
     let mut bench_out = PathBuf::from("BENCH_PR.json");
     let mut allow_missing_baseline = false;
@@ -157,7 +155,12 @@ fn parse_args() -> Options {
             "--quick" => scale = RunScale::Quick,
             "--tiny" => scale = RunScale::Tiny,
             "--full" => scale = RunScale::Full,
-            "--out" => out_dir = args.next().map(PathBuf::from),
+            "--out" => {
+                out_dir = Some(args.next().map(PathBuf::from).unwrap_or_else(|| {
+                    eprintln!("--out expects a directory");
+                    std::process::exit(2);
+                }));
+            }
             "--sms" => {
                 sms = args.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(
                     || {
@@ -177,13 +180,6 @@ fn parse_args() -> Options {
                     eprintln!("--arrivals expects a non-negative cycle stride");
                     std::process::exit(2);
                 });
-            }
-            "--backend" => {
-                backend =
-                    args.next().as_deref().and_then(BackendKind::from_label).unwrap_or_else(|| {
-                        eprintln!("--backend expects epoch or event");
-                        std::process::exit(2);
-                    });
             }
             "--baseline" => {
                 baseline = args.next().map(PathBuf::from).unwrap_or_else(|| {
@@ -271,7 +267,7 @@ fn parse_args() -> Options {
             }
             "--policy" => {
                 policy_filter = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--policy expects exclusive|spatial|shared-rr");
+                    eprintln!("--policy expects exclusive|spatial|shared-rr|interference-aware");
                     std::process::exit(2);
                 }));
             }
@@ -279,7 +275,7 @@ fn parse_args() -> Options {
                 println!(
                     "usage: ciao-harness <table1|table2|fig1|fig4|fig8|fig9|fig10|fig11|fig12|overhead|mix|capacity|fleet|trace|profile|perf|all> \
                      [--quick|--tiny|--full] [--sms N] [--seed N|A..B] [--arrivals N] \
-                     [--backend epoch|event] [--out DIR] [--mix NAME] \
+                     [--out DIR] [--mix NAME] \
                      [--policy exclusive|spatial|shared-rr|interference-aware] \
                      [--capacity-curve] [--sm-counts A,B,..] \
                      [--chips N] [--placement bin-pack|interference-spread|both] \
@@ -306,7 +302,6 @@ fn parse_args() -> Options {
         sms,
         seeds,
         arrivals,
-        backend,
         baseline,
         bench_out,
         allow_missing_baseline,
@@ -372,50 +367,6 @@ fn run_perf_gate(opts: &Options, runner: &Runner) {
         let (mix_stp, mix_secs) = perf::measure_mixes(runner);
         report.mix_stp = mix_stp;
         report.mix_wall_clock_secs = mix_secs;
-        // Cross-check the other timing backend on the same sweep: the STPs
-        // must match bit-for-bit (both backends are exact), and the wall
-        // clocks give the PR-over-PR epoch-vs-event speedup figure. Printed,
-        // never gated or persisted — wall clocks are machine-dependent.
-        let other = match runner.backend {
-            BackendKind::Epoch => BackendKind::Event,
-            BackendKind::Event => BackendKind::Epoch,
-        };
-        log(format_args!("re-measuring mix STPs on the {other} backend ..."));
-        let (other_stp, other_secs) = perf::measure_mixes(&runner.clone().with_backend(other));
-        if other_stp != report.mix_stp {
-            eprintln!("perf gate FAILED: {other} backend STPs diverge from {}", runner.backend);
-            std::process::exit(1);
-        }
-        let (epoch_secs, event_secs) = match runner.backend {
-            BackendKind::Epoch => (mix_secs, other_secs),
-            BackendKind::Event => (other_secs, mix_secs),
-        };
-        println!(
-            "mix sweep backends agree; wall clock epoch {epoch_secs:.2}s vs event \
-             {event_secs:.2}s ({:.1}x)",
-            epoch_secs / event_secs.max(1e-9)
-        );
-        report.wall_clock.mix_epoch_secs = epoch_secs;
-        report.wall_clock.mix_event_secs = event_secs;
-        // Time the large-chip capacity point under both backends — the
-        // headline epoch-vs-event speedup, recorded machine-readably in the
-        // BENCH JSON's `wall_clock` section. STP divergence between the
-        // backends is a correctness bug and fails the gate.
-        log(format_args!(
-            "timing the {}-SM capacity point on both backends ...",
-            perf::CAPACITY_PROBE_SMS
-        ));
-        match perf::measure_capacity_point(runner, perf::CAPACITY_PROBE_SMS) {
-            Ok((cap_epoch, cap_event)) => {
-                report.wall_clock.capacity_sms = perf::CAPACITY_PROBE_SMS;
-                report.wall_clock.capacity_epoch_secs = cap_epoch;
-                report.wall_clock.capacity_event_secs = cap_event;
-            }
-            Err(e) => {
-                eprintln!("perf gate FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
     }
     print!("{}", perf::render(&report));
     if let Err(e) = write_json(&opts.bench_out, &report) {
@@ -622,30 +573,26 @@ fn run_trace(opts: &Options, runner: &Runner) {
     );
 }
 
-/// `profile`: the same co-run at metrics level under **both** timing
-/// backends, printing each wall-clock phase table so epoch-vs-event hotspots
-/// can be compared directly.
+/// `profile`: the same co-run at metrics level, printing its wall-clock
+/// phase table.
 fn run_profile(opts: &Options, runner: &Runner) {
     let (mix, policy, scheduler) = observed_corun(opts);
-    let obs = opts.obs.max(ObsLevel::Metrics);
-    for backend in [BackendKind::Epoch, BackendKind::Event] {
-        let r = runner.clone().with_backend(backend).with_obs(obs);
-        log(format_args!(
-            "profiling {} under {} / {} on the {backend} backend ...",
-            mix.name(),
-            policy.label(),
-            scheduler.label()
-        ));
-        let (res, report) = r.run_mix_observed(mix, policy, scheduler);
-        println!(
-            "== {backend} backend — {} under {} / {} ({} cycles) ==",
-            mix.name(),
-            policy.label(),
-            scheduler.label(),
-            res.cycles
-        );
-        print!("{}", report.profile_table());
-    }
+    let r = runner.clone().with_obs(opts.obs.max(ObsLevel::Metrics));
+    log(format_args!(
+        "profiling {} under {} / {} ...",
+        mix.name(),
+        policy.label(),
+        scheduler.label()
+    ));
+    let (res, report) = r.run_mix_observed(mix, policy, scheduler);
+    println!(
+        "== {} under {} / {} ({} cycles) ==",
+        mix.name(),
+        policy.label(),
+        scheduler.label(),
+        res.cycles
+    );
+    print!("{}", report.profile_table());
 }
 
 fn emit<T: Serialize>(opts: &Options, name: &str, text: &str, value: &T) {
@@ -762,14 +709,13 @@ fn main() {
         sms: opts.sms,
         seed: opts.seed(),
         arrival_stride: opts.arrivals,
-        backend: opts.backend,
         threads: None,
         obs: opts.obs,
     };
     let runner = Runner::from_plan(&plan);
     log(format_args!(
         "scale: {:?} ({} instructions/run cap), {} SM{} per run, seed{} {}, \
-         arrivals +{}, {} backend, {} worker threads, obs {}",
+         arrivals +{}, {} worker threads, obs {}",
         opts.scale,
         opts.scale.max_instructions(),
         runner.sms,
@@ -777,7 +723,6 @@ fn main() {
         if opts.seeds.len() == 1 { "" } else { "s" },
         opts.seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(","),
         opts.arrivals,
-        runner.backend,
         runner.threads,
         runner.obs
     ));

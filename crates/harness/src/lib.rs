@@ -19,7 +19,7 @@
 //! | Multi-tenant mixes (STP/ANTT across policies) | [`experiments::mix`] | `mix` |
 //! | Capacity curves (STP vs SM count per policy) | [`experiments::capacity`] | `capacity` |
 //! | Perfetto trace + metrics of one observed co-run | [`runner`] (`sim-obs`) | `trace` |
-//! | Wall-clock phase profile, both timing backends | [`runner`] (`sim-obs`) | `profile` |
+//! | Wall-clock phase profile of one observed co-run | [`runner`] (`sim-obs`) | `profile` |
 //! | CI performance-regression gate | [`perf`] | `perf` |
 //!
 //! Every experiment accepts the `--sms N` axis: the [`runner::Runner`]

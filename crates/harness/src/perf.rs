@@ -16,16 +16,12 @@ use crate::report::geometric_mean;
 use crate::runner::{RunRecord, Runner};
 use crate::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, Mix};
-use gpu_sim::{BackendKind, DispatchPolicy};
+use gpu_sim::DispatchPolicy;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Maximum relative geomean-IPC drift (±) tolerated by the gate.
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-/// SM count of the large-chip capacity point the perf command times under
-/// both backends (the headline epoch-vs-event speedup configuration).
-pub const CAPACITY_PROBE_SMS: usize = 64;
 
 /// The schedulers whose IPC the gate protects.
 pub fn gate_schedulers() -> Vec<SchedulerKind> {
@@ -55,45 +51,6 @@ pub fn required_mix_keys() -> Vec<String> {
     keys
 }
 
-/// Machine-readable epoch-vs-event wall clocks, recorded in the BENCH JSON
-/// artifact so backend speedups are a queryable time series PR-over-PR
-/// rather than a line scraped from the CI log. All values are wall-clock
-/// seconds — machine-dependent, informational, **never gated**; zeros mean
-/// "not measured" (a snapshot taken without `--with-mixes`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WallClock {
-    /// Mix-STP sweep under the epoch (oracle) backend.
-    pub mix_epoch_secs: f64,
-    /// Mix-STP sweep under the event backend.
-    pub mix_event_secs: f64,
-    /// SM count of the timed capacity point (0 when not measured).
-    pub capacity_sms: usize,
-    /// Capacity point under the epoch backend.
-    pub capacity_epoch_secs: f64,
-    /// Capacity point under the event backend.
-    pub capacity_event_secs: f64,
-}
-
-impl WallClock {
-    /// Epoch-over-event speedup of the mix sweep (0 when not measured).
-    pub fn mix_speedup(&self) -> f64 {
-        if self.mix_event_secs > 0.0 {
-            self.mix_epoch_secs / self.mix_event_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Epoch-over-event speedup of the capacity point (0 when not measured).
-    pub fn capacity_speedup(&self) -> f64 {
-        if self.capacity_event_secs > 0.0 {
-            self.capacity_epoch_secs / self.capacity_event_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// One measured performance snapshot (an entry of `bench/baseline.json` and
 /// the whole of `BENCH_PR.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -108,9 +65,7 @@ pub struct PerfReport {
     /// machine-dependent, never gated).
     pub wall_clock_secs: f64,
     /// Wall-clock seconds of the mix-STP sweep alone (0 when the snapshot
-    /// was measured without mixes). Recorded so backend speedups on the
-    /// multi-SM mix runs are visible PR-over-PR in the CI job summary;
-    /// machine-dependent, never gated.
+    /// was measured without mixes). Machine-dependent, never gated.
     pub mix_wall_clock_secs: f64,
     /// Runs that hit an instruction/cycle cap.
     pub capped_runs: usize,
@@ -129,9 +84,6 @@ pub struct PerfReport {
     /// co-execution figures of merit. Empty when the snapshot was measured
     /// without mixes.
     pub mix_stp: BTreeMap<String, f64>,
-    /// Epoch-vs-event backend wall clocks (see [`WallClock`]; all zeros when
-    /// the snapshot was measured without mixes).
-    pub wall_clock: WallClock,
 }
 
 /// The schema of `bench/baseline.json`: one snapshot per recorded
@@ -218,40 +170,7 @@ pub fn summarize(records: &[RunRecord], runner: &Runner, wall_clock_secs: f64) -
         per_benchmark_ipc,
         mean_sm_ipc_stddev,
         mix_stp: BTreeMap::new(),
-        wall_clock: WallClock::default(),
     }
-}
-
-/// Times the [`CAPACITY_PROBE_SMS`]-SM capacity point (the cache-stream
-/// co-run under the gated dispatch policies, GTO) under **both** timing
-/// backends, verifying the STPs agree bit-for-bit. Returns
-/// `(epoch_secs, event_secs)`, or the divergence message when the backends
-/// disagree — divergence is a correctness bug, so callers should fail the
-/// gate on `Err`.
-pub fn measure_capacity_point(runner: &Runner, sms: usize) -> Result<(f64, f64), String> {
-    let mut secs = [0.0f64; 2];
-    let mut stps: Vec<Vec<(String, f64)>> = Vec::new();
-    for (i, backend) in [BackendKind::Epoch, BackendKind::Event].into_iter().enumerate() {
-        let r = runner.clone().with_sms(sms).with_backend(backend);
-        let start = std::time::Instant::now();
-        let result =
-            mix_experiment::run(&r, &[Mix::CacheStream], &gate_policies(), &[SchedulerKind::Gto]);
-        secs[i] = start.elapsed().as_secs_f64();
-        stps.push(
-            result
-                .rows
-                .into_iter()
-                .map(|row| (format!("{}/{}", row.mix, row.policy), row.stp))
-                .collect(),
-        );
-    }
-    if stps[0] != stps[1] {
-        return Err(format!(
-            "capacity point backends diverge at {sms} SMs: epoch {:?} vs event {:?}",
-            stps[0], stps[1]
-        ));
-    }
-    Ok((secs[0], secs[1]))
 }
 
 /// Measures every named mix's STP under the gated dispatch policies and the
@@ -427,26 +346,6 @@ pub fn render(report: &PerfReport) -> String {
     if report.mix_wall_clock_secs > 0.0 {
         let _ = writeln!(out, "mix sweep wall clock: {:.2}s", report.mix_wall_clock_secs);
     }
-    let wc = &report.wall_clock;
-    if wc.mix_event_secs > 0.0 {
-        let _ = writeln!(
-            out,
-            "mix sweep: epoch {:.2}s vs event {:.2}s ({:.1}x)",
-            wc.mix_epoch_secs,
-            wc.mix_event_secs,
-            wc.mix_speedup()
-        );
-    }
-    if wc.capacity_event_secs > 0.0 {
-        let _ = writeln!(
-            out,
-            "capacity point ({} SMs): epoch {:.2}s vs event {:.2}s ({:.1}x)",
-            wc.capacity_sms,
-            wc.capacity_epoch_secs,
-            wc.capacity_event_secs,
-            wc.capacity_speedup()
-        );
-    }
     out
 }
 
@@ -489,7 +388,6 @@ mod tests {
             per_benchmark_ipc: BTreeMap::new(),
             mean_sm_ipc_stddev: BTreeMap::new(),
             mix_stp: BTreeMap::new(),
-            wall_clock: WallClock::default(),
         }
     }
 
@@ -555,50 +453,12 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let mut r = report(0.5, 0.6);
-        r.wall_clock = WallClock {
-            mix_epoch_secs: 4.0,
-            mix_event_secs: 1.0,
-            capacity_sms: CAPACITY_PROBE_SMS,
-            capacity_epoch_secs: 6.5,
-            capacity_event_secs: 1.0,
-        };
+        r.mix_stp.insert(mix_stp_key(Mix::Quad, DispatchPolicy::SharedRoundRobin), 2.25);
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: PerfReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.geomean_ipc, r.geomean_ipc);
         assert_eq!(back.total_runs, 42);
-        assert_eq!(back.wall_clock, r.wall_clock);
-    }
-
-    #[test]
-    fn wall_clock_speedups_and_rendering() {
-        // Unmeasured: speedups are 0, nothing rendered.
-        let zero = WallClock::default();
-        assert_eq!(zero.mix_speedup(), 0.0);
-        assert_eq!(zero.capacity_speedup(), 0.0);
-        assert!(!render(&report(0.5, 0.6)).contains("capacity point"));
-
-        let mut r = report(0.5, 0.6);
-        r.wall_clock = WallClock {
-            mix_epoch_secs: 4.0,
-            mix_event_secs: 2.0,
-            capacity_sms: 64,
-            capacity_epoch_secs: 6.5,
-            capacity_event_secs: 1.0,
-        };
-        assert_eq!(r.wall_clock.mix_speedup(), 2.0);
-        assert_eq!(r.wall_clock.capacity_speedup(), 6.5);
-        let text = render(&r);
-        assert!(text.contains("mix sweep: epoch 4.00s vs event 2.00s (2.0x)"));
-        assert!(text.contains("capacity point (64 SMs): epoch 6.50s vs event 1.00s (6.5x)"));
-    }
-
-    #[test]
-    fn capacity_point_backends_agree_and_are_timed() {
-        let runner = Runner::new(RunScale::Tiny);
-        let (epoch_secs, event_secs) =
-            measure_capacity_point(&runner, 4).expect("backends must agree");
-        assert!(epoch_secs > 0.0);
-        assert!(event_secs > 0.0);
+        assert_eq!(back.mix_stp, r.mix_stp);
     }
 
     #[test]

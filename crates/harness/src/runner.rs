@@ -4,9 +4,9 @@
 //! The runner exposes the harness's `--sms N` axis: with `sms == 1` (the
 //! default) every run uses the legacy single-SM simulator, which is what all
 //! recorded baselines (including `bench/baseline.json`) were produced with;
-//! with `sms > 1` each run simulates a chip of N SMs executing in parallel
-//! against the shared banked L2/DRAM backend, with one scheduler instance
-//! per SM.
+//! with `sms > 1` each run simulates a chip of N SMs against the shared
+//! banked L2/DRAM backend, with one scheduler instance per SM. Each run is
+//! single-threaded; matrix runs spread whole runs across worker threads.
 
 use crate::schedulers::SchedulerKind;
 use ciao_core::CiaoParams;
@@ -173,8 +173,8 @@ pub struct Runner {
     /// Number of worker threads for matrix runs.
     pub threads: usize,
     /// Number of SMs each simulation models (the `--sms N` axis). `1` uses
-    /// the legacy single-SM path; `> 1` runs the parallel multi-SM chip
-    /// engine with a shared L2/DRAM backend.
+    /// the legacy single-SM path; `> 1` runs the multi-SM chip engine with a
+    /// shared L2/DRAM backend.
     pub sms: usize,
     /// Experiment seed mixed into every synthetic trace (the `--seed N`
     /// axis); `0` reproduces the historical single-seed traces bit for bit.
@@ -183,9 +183,9 @@ pub struct Runner {
     /// tenant `t` of a mix enters the kernel queue at `t × stride` cycles.
     /// `0` (the default) launches every tenant at cycle 0.
     pub arrival_stride: u64,
-    /// Timing backend driving every simulation (the `--backend` axis). Both
-    /// backends produce bit-identical results; `event` is much faster on
-    /// memory-bound multi-SM runs.
+    /// Timing mode driving every simulation. Both modes produce
+    /// bit-identical results; `event` (the default) is much faster than the
+    /// per-cycle `epoch` reference.
     pub backend: BackendKind,
     /// Observability level armed on every simulation (the `--obs` axis).
     /// `Off` (the default) adds no work to the hot paths; the collected
@@ -206,8 +206,6 @@ pub struct RunPlan {
     pub seed: u64,
     /// Arrival stagger for mix co-runs (`--arrivals STRIDE`).
     pub arrival_stride: u64,
-    /// Timing backend (`--backend {epoch,event}`).
-    pub backend: BackendKind,
     /// Observability level (`--obs {off,metrics,full}`).
     pub obs: ObsLevel,
     /// Worker-thread override for matrix runs; `None` keeps the runner's
@@ -218,15 +216,7 @@ pub struct RunPlan {
 impl RunPlan {
     /// A plan at the given scale with every other knob at its default.
     pub fn new(scale: RunScale) -> Self {
-        RunPlan {
-            scale,
-            sms: 1,
-            seed: 0,
-            arrival_stride: 0,
-            backend: BackendKind::default(),
-            obs: ObsLevel::Off,
-            threads: None,
-        }
+        RunPlan { scale, sms: 1, seed: 0, arrival_stride: 0, obs: ObsLevel::Off, threads: None }
     }
 }
 
@@ -252,7 +242,6 @@ impl Runner {
             .with_sms(plan.sms)
             .with_seed(plan.seed)
             .with_arrivals(plan.arrival_stride)
-            .with_backend(plan.backend)
             .with_obs(plan.obs);
         if let Some(threads) = plan.threads {
             runner.threads = threads.max(1);
@@ -291,7 +280,7 @@ impl Runner {
         self
     }
 
-    /// Sets the timing backend driving every simulation.
+    /// Sets the timing mode driving every simulation.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -317,9 +306,9 @@ impl Runner {
     }
 
     /// Runs one (benchmark, scheduler) pair and returns the full result:
-    /// the legacy single-SM simulation when `sms == 1`, a parallel multi-SM
-    /// chip simulation (one scheduler instance per SM, shared banked
-    /// L2/DRAM) otherwise.
+    /// the legacy single-SM simulation when `sms == 1`, a multi-SM chip
+    /// simulation (one scheduler instance per SM, shared banked L2/DRAM)
+    /// otherwise.
     pub fn run_one(&self, benchmark: Benchmark, scheduler: SchedulerKind) -> SimResult {
         self.run_one_observed(benchmark, scheduler).0
     }
@@ -390,10 +379,7 @@ impl Runner {
             .collect();
         let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; jobs.len()]);
         let next: Mutex<usize> = Mutex::new(0);
-        // Each multi-SM run spawns `sms` barrier-synchronised worker threads
-        // of its own, so divide the outer pool accordingly to avoid
-        // oversubscribing the machine with threads × sms blocked barriers.
-        let workers = self.threads.div_ceil(self.sms.max(1)).clamp(1, jobs.len().max(1));
+        let workers = self.threads.clamp(1, jobs.len().max(1));
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -528,15 +514,15 @@ mod tests {
         assert!((a.ipc - b.ipc).abs() < 1e-12);
     }
 
-    /// Serialises a result with the backend label blanked so epoch and event
-    /// runs can be compared field-for-field.
+    /// Serialises a result with the backend label blanked so reference- and
+    /// event-mode runs can be compared field-for-field.
     fn backend_blind_json(mut res: SimResult) -> String {
         res.backend = String::new();
         serde_json::to_string(&res).expect("results serialize")
     }
 
     #[test]
-    fn event_backend_matches_epoch_on_a_real_benchmark() {
+    fn event_mode_matches_reference_on_a_real_benchmark() {
         let epoch = Runner::new(RunScale::Quick)
             .with_backend(BackendKind::Epoch)
             .run_one(Benchmark::Syrk, SchedulerKind::CiaoC);
@@ -549,24 +535,19 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_matches_epoch_on_a_staggered_chip_mix() {
-        let plan = |backend| {
+    fn event_mode_matches_reference_on_a_staggered_chip_mix() {
+        let run = |backend| {
             let mut plan = RunPlan::new(RunScale::Tiny);
             plan.sms = 15;
             plan.arrival_stride = 2_000;
-            plan.backend = backend;
-            plan
+            Runner::from_plan(&plan).with_backend(backend).run_mix(
+                Mix::CacheStream,
+                DispatchPolicy::InterferenceAware,
+                SchedulerKind::CiaoT,
+            )
         };
-        let epoch = Runner::from_plan(&plan(BackendKind::Epoch)).run_mix(
-            Mix::CacheStream,
-            DispatchPolicy::InterferenceAware,
-            SchedulerKind::CiaoT,
-        );
-        let event = Runner::from_plan(&plan(BackendKind::Event)).run_mix(
-            Mix::CacheStream,
-            DispatchPolicy::InterferenceAware,
-            SchedulerKind::CiaoT,
-        );
+        let epoch = run(BackendKind::Epoch);
+        let event = run(BackendKind::Event);
         assert_eq!(epoch.num_sms, 15);
         assert_eq!(epoch.per_tenant.len(), 2);
         assert_eq!(backend_blind_json(epoch), backend_blind_json(event));
@@ -581,7 +562,7 @@ mod tests {
         assert!(res.stats.instructions > 0);
         let rec = RunRecord::from_result(Benchmark::Nn, SchedulerKind::CiaoC, &res);
         assert_eq!(rec.num_sms, 2);
-        // Deterministic across repeats despite parallel per-SM execution.
+        // Deterministic across repeats.
         let res2 = runner.run_one(Benchmark::Nn, SchedulerKind::CiaoC);
         assert_eq!(res.cycles, res2.cycles);
         assert_eq!(res.stats, res2.stats);

@@ -21,7 +21,7 @@
 //!   inferred.
 //!
 //! Sim-time traces and metrics are **deterministic** — bit-identical across
-//! host thread counts and across the epoch/event timing backends (the
+//! runs and across the epoch/event timing modes (the
 //! exporter sorts canonically and backend-specific events carry the
 //! [`trace::TraceCategory::Engine`] category, excluded from the canonical
 //! export). Wall-clock profiling never enters simulation results.

@@ -8,8 +8,7 @@
 //!    produced,
 //! 4. the CTA dispatcher assigns every block exactly once for arbitrary
 //!    (blocks, SMs) shapes,
-//! 5. a full 15-SM harness run is deterministic across repeats despite
-//!    parallel per-SM execution.
+//! 5. a full 15-SM harness run is deterministic across repeats.
 
 use std::sync::Arc;
 

@@ -10,8 +10,7 @@
 //!    attribution sums exactly to the chip totals,
 //! 3. the STP / weighted-speedup and ANTT metrics obey their defining
 //!    formulas on real co-run results,
-//! 4. every policy is deterministic across repeats on a full 15-SM chip
-//!    despite parallel per-SM execution.
+//! 4. every policy is deterministic across repeats on a full 15-SM chip.
 
 use std::sync::Arc;
 
@@ -194,12 +193,9 @@ fn interference_aware_beats_shared_rr_on_cache_stream_at_fifteen_sms() {
     // The monitor actually ran and recorded its reasoning.
     assert!(!adaptive.dispatch_log.is_empty());
 
-    // Host-threading determinism: the chip engine always spawns one worker
-    // per SM (Runner.threads only parallelises run_matrix, not run_mix), so
-    // the lever the OS actually pulls is how it schedules those 15 workers —
-    // which differs between repeats. The adaptive decisions are a pure
-    // function of epoch-boundary stats, so the fully serialised results of
-    // two independent runs must be byte-identical regardless.
+    // Determinism: the adaptive decisions are a pure function of
+    // epoch-boundary stats, so the fully serialised results of two
+    // independent runs must be byte-identical.
     let a = runner.run_mix(mix, DispatchPolicy::InterferenceAware, SchedulerKind::Gto);
     let b = runner.run_mix(mix, DispatchPolicy::InterferenceAware, SchedulerKind::Gto);
     let json_a = serde_json::to_string_pretty(&a).expect("serialise");
@@ -232,23 +228,6 @@ fn interference_aware_pays_no_containment_tax_when_the_backend_contains_interfer
              on a mix the backend already keeps healthy"
         );
     }
-}
-
-#[test]
-fn service_thread_count_never_changes_results_on_a_full_chip() {
-    // The barrier-phase bank service shards each epoch's batch across worker
-    // threads; the thread count is purely a wall-clock knob. Pin the
-    // acceptance form of the invariant: the fully serialised SimResult of a
-    // 15-SM multi-tenant co-run is byte-identical for 1 and 8 service
-    // threads.
-    let run = |threads: usize| {
-        let mut runner = Runner::new(RunScale::Tiny).with_sms(15);
-        runner.config = runner.config.with_service_threads(threads);
-        let res =
-            runner.run_mix(Mix::CacheStream, DispatchPolicy::SharedRoundRobin, SchedulerKind::Gto);
-        serde_json::to_string_pretty(&res).expect("serialise")
-    };
-    assert_eq!(run(1), run(8), "service-thread count changed the simulation");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Acceptance tests for the observability layer: the canonical sim-time
-//! trace must be byte-identical across host service-thread counts and across
-//! the epoch/event timing backends, observation must never perturb
+//! trace must be byte-identical across the reference and event timing
+//! modes, observation must never perturb
 //! simulation results, and the exported Chrome trace-event JSON must parse
 //! and name every track family (SMs, L2 banks, fabric directions, tenants,
 //! dispatcher).
@@ -14,9 +14,8 @@ use serde::Value;
 /// The reference observed co-run: the Tiny cache-vs-stream mix on a 15-SM
 /// chip under interference-aware dispatch — the configuration whose
 /// dispatcher actually throttles and restores.
-fn observed_mix(threads: usize, backend: BackendKind, obs: ObsLevel) -> (SimResult, ObsReport) {
-    let mut runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend).with_obs(obs);
-    runner.config = runner.config.with_service_threads(threads);
+fn observed_mix(backend: BackendKind, obs: ObsLevel) -> (SimResult, ObsReport) {
+    let runner = Runner::new(RunScale::Tiny).with_sms(15).with_backend(backend).with_obs(obs);
     runner.run_mix_observed(
         Mix::CacheStream,
         DispatchPolicy::InterferenceAware,
@@ -25,50 +24,27 @@ fn observed_mix(threads: usize, backend: BackendKind, obs: ObsLevel) -> (SimResu
 }
 
 #[test]
-fn canonical_trace_is_byte_identical_across_service_thread_counts() {
-    // The barrier-phase bank service shards each epoch's batch across worker
-    // threads; that is purely a wall-clock knob, so the full observability
-    // export — trace and metrics — must not move by a byte.
-    let (res_1, rep_1) = observed_mix(1, BackendKind::Epoch, ObsLevel::Full);
-    let (res_8, rep_8) = observed_mix(8, BackendKind::Epoch, ObsLevel::Full);
-    assert!(!rep_1.events.is_empty(), "the full-obs run must have recorded events");
-    assert_eq!(rep_1.dropped_events, 0, "the ring buffers must not have overflowed");
-    assert_eq!(
-        rep_1.chrome_trace_json(),
-        rep_8.chrome_trace_json(),
-        "service-thread count changed the canonical trace"
-    );
-    assert_eq!(
-        rep_1.metrics_json(),
-        rep_8.metrics_json(),
-        "service-thread count changed the metrics"
-    );
-    assert_eq!(
-        serde_json::to_string_pretty(&res_1).unwrap(),
-        serde_json::to_string_pretty(&res_8).unwrap(),
-        "service-thread count changed the simulation itself"
-    );
-}
-
-#[test]
 fn canonical_trace_is_byte_identical_across_timing_backends() {
-    // Engine-category events (idle skips, event-queue pops) differ between
-    // backends by design; the canonical export excludes them, so what is
-    // left must agree exactly — as must the metrics registry.
-    let (res_epoch, rep_epoch) = observed_mix(1, BackendKind::Epoch, ObsLevel::Full);
-    let (mut res_event, rep_event) = observed_mix(1, BackendKind::Event, ObsLevel::Full);
+    // Engine-category events (idle skips, event-queue pops) exist only in
+    // the event mode by design; the canonical export excludes them, so what
+    // is left must agree exactly with the per-cycle reference mode — as must
+    // the metrics registry.
+    let (res_epoch, rep_epoch) = observed_mix(BackendKind::Epoch, ObsLevel::Full);
+    let (mut res_event, rep_event) = observed_mix(BackendKind::Event, ObsLevel::Full);
+    assert!(!rep_epoch.events.is_empty(), "the full-obs run must have recorded events");
+    assert_eq!(rep_epoch.dropped_events, 0, "the ring buffers must not have overflowed");
     assert_eq!(
         rep_epoch.chrome_trace_json(),
         rep_event.chrome_trace_json(),
-        "timing backend changed the canonical trace"
+        "timing mode changed the canonical trace"
     );
     assert_eq!(
         rep_epoch.metrics_json(),
         rep_event.metrics_json(),
-        "timing backend changed the metrics"
+        "timing mode changed the metrics"
     );
     // The results themselves are bit-identical in everything but the
-    // backend label.
+    // mode label.
     assert_eq!(res_event.backend, "event");
     res_event.backend = res_epoch.backend.clone();
     assert_eq!(
@@ -81,8 +57,8 @@ fn canonical_trace_is_byte_identical_across_timing_backends() {
 fn observation_never_perturbs_the_simulation() {
     // --obs full must be a pure read: the serialised SimResult is
     // byte-identical to the --obs off run, and an off-level report is empty.
-    let (res_off, rep_off) = observed_mix(1, BackendKind::Epoch, ObsLevel::Off);
-    let (res_full, _) = observed_mix(1, BackendKind::Epoch, ObsLevel::Full);
+    let (res_off, rep_off) = observed_mix(BackendKind::Event, ObsLevel::Off);
+    let (res_full, _) = observed_mix(BackendKind::Event, ObsLevel::Full);
     assert!(rep_off.events.is_empty(), "--obs off must record nothing");
     assert!(!rep_off.profile.is_enabled(), "--obs off must not profile");
     assert_eq!(
@@ -102,7 +78,7 @@ fn str_field<'v>(obj: &'v Value, key: &str) -> Option<&'v str> {
 
 #[test]
 fn trace_export_parses_and_names_every_track_family() {
-    let (_, report) = observed_mix(1, BackendKind::Epoch, ObsLevel::Full);
+    let (_, report) = observed_mix(BackendKind::Event, ObsLevel::Full);
     let json = report.chrome_trace_json();
     let root: Value = serde_json::from_str(&json).expect("the trace export must be valid JSON");
     let Some(Value::Array(events)) = root.get("traceEvents") else {

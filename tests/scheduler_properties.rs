@@ -93,7 +93,7 @@ proptest! {
 }
 
 /// Runs `kernel` on the chip engine (`sms` SMs, shared L2/DRAM) under the
-/// chosen timing backend, with a configurable time-series sample interval.
+/// chosen timing mode, with a configurable time-series sample interval.
 fn run_chip(
     kernel: Box<dyn Kernel>,
     sched: SchedulerKind,
@@ -110,8 +110,8 @@ fn run_chip(
     )
 }
 
-/// Serialises a result with the backend label normalised away, so epoch and
-/// event runs can be compared bit-for-bit.
+/// Serialises a result with the mode label normalised away, so reference-
+/// and event-mode runs can be compared bit-for-bit.
 fn normalized_json(mut res: SimResult) -> String {
     res.backend = String::new();
     serde_json::to_string(&res).expect("SimResult serialises")
@@ -120,10 +120,10 @@ fn normalized_json(mut res: SimResult) -> String {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// The event core's closed-form idle accounting must compose exactly:
+    /// The event mode's closed-form idle accounting must compose exactly:
     /// one `on_idle_cycles(ctx, k)` call has to leave every scheduler in the
     /// same state as `k` single idle cycles would. Running the same workload
-    /// under both timing backends for each scheduler family (CCWS score
+    /// under both timing modes for each scheduler family (CCWS score
     /// decay, SWL recompute, statPCAL utilization tracking, CIAO's
     /// throttle/redirect fixed point) proves the equivalence end-to-end:
     /// any divergence shows up as a differing serialised result.
@@ -143,7 +143,7 @@ proptest! {
             prop_assert_eq!(
                 normalized_json(epoch),
                 normalized_json(event),
-                "event backend diverged from the epoch oracle under {:?}",
+                "event mode diverged from the reference mode under {:?}",
                 sched
             );
         }
@@ -152,8 +152,8 @@ proptest! {
     /// Sampler-due edges: with tiny (including degenerate) sample intervals
     /// the instruction-indexed time-series sampler comes due at arbitrary
     /// alignments — including exactly at a dispatch boundary, where the
-    /// event core must refuse to skip and step the cycle instead. Both
-    /// backends must stay bit-identical through every alignment.
+    /// event mode must refuse to skip and step the cycle instead. Both
+    /// modes must stay bit-identical through every alignment.
     #[test]
     fn sampler_due_exactly_at_a_boundary_cannot_desync_the_backends(
         warps in 1usize..5,
@@ -172,8 +172,8 @@ proptest! {
 
     /// Zero-warp SMs: a one-CTA kernel on a multi-SM chip leaves every other
     /// SM without a single warp for the whole run. Those SMs must park
-    /// harmlessly in the event core (idle-skip with nothing to wake for)
-    /// and the result must match the epoch oracle stepping them cycle by
+    /// harmlessly in the event mode (idle-skip with nothing to wake for)
+    /// and the result must match the reference mode stepping them cycle by
     /// cycle.
     #[test]
     fn zero_warp_sms_park_without_desyncing_the_backends(
