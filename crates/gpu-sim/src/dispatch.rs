@@ -1,22 +1,19 @@
-//! Multi-tenant CTA dispatch: kernel streams, SM partitioning policies and
-//! the chip-level kernel queue.
+//! Multi-tenant CTA dispatch: kernel streams and SM partitioning policies.
 //!
-//! PR 2's chip engine ran exactly one kernel, splitting its grid round-robin
-//! across SMs. This module generalises dispatch to N co-running kernels
-//! (*tenants*): a [`KernelStream`] binds a kernel to a [`TenantId`], a
-//! [`DispatchPolicy`] decides which SM runs which tenant's CTAs, and
-//! [`KernelQueue`] is the chip-level entry point that turns a set of streams
-//! into one [`SimResult`] with per-tenant attribution. Streams may carry an
-//! [`KernelStream::arrival_cycle`]: the engine admits such *dynamic arrivals*
-//! at the first epoch boundary at or after their cycle.
+//! A [`KernelStream`] binds a kernel to a [`TenantId`], and a
+//! [`DispatchPolicy`] decides which SM runs which tenant's CTAs. Streams may
+//! carry an [`KernelStream::arrival_cycle`]: the engine admits such *dynamic
+//! arrivals* at the first epoch boundary at or after their cycle. This
+//! module decides only where CTAs go; [`crate::simulator`] turns a set of
+//! streams into one [`crate::SimResult`] with per-tenant attribution.
 //!
 //! ## The four policies
 //!
 //! * [`DispatchPolicy::Exclusive`] — temporal multiplexing: each kernel gets
 //!   the whole chip to itself, streams execute serially in submission order
-//!   with cold caches between kernels. This is exactly "today's" behaviour
-//!   repeated per kernel: a queue with a single stream is bit-identical to a
-//!   plain single-kernel chip run. Tenants never interfere; turnaround grows
+//!   with cold caches between kernels (see [`crate::Simulator::execute`]).
+//!   A single stream is bit-identical to a plain single-kernel chip run.
+//!   Tenants never interfere; turnaround grows
 //!   with queue position (tenant `k`'s finish cycle includes every earlier
 //!   kernel's runtime).
 //! * [`DispatchPolicy::SpatialPartition`] — each tenant receives a disjoint,
@@ -33,7 +30,7 @@
 //!   SM co-runs warps from all tenants and intra-SM L1 interference between
 //!   tenants appears in addition to the shared-L2 contention. With a single
 //!   stream the interleaving is the identity, which reduces this policy to
-//!   PR 2's round-robin dispatcher.
+//!   plain round-robin dispatch of the grid.
 //! * [`DispatchPolicy::InterferenceAware`] — adaptive, monitor-driven
 //!   dispatch, the chip-level analogue of CIAO-T: CTAs are fed from
 //!   per-tenant pending queues at epoch boundaries, tenants are classified
@@ -54,16 +51,10 @@
 
 use std::sync::Arc;
 
-use crate::config::GpuConfig;
-use crate::gpu::{Gpu, SmUnit};
 use crate::kernel::{Kernel, KernelInfo};
-use crate::simulator::SimResult;
-use crate::stats::{
-    DispatchAction, DispatchDecision, DispatchLog, SmStats, TenantClass, TimeSeries,
-};
+use crate::stats::{DispatchAction, DispatchDecision, DispatchLog, TenantClass};
 use gpu_mem::{CtaId, Cycle, TenantId};
 use serde::{Deserialize, Serialize};
-use sim_obs::{ObsLevel, ObsReport};
 
 /// Latency class of a tenant — the SLO tier the fleet layer schedules
 /// against and the on-chip dispatcher protects.
@@ -318,19 +309,6 @@ pub(crate) fn stream_work(stream: &KernelStream) -> Vec<CtaWork> {
         .collect()
 }
 
-/// Round-robin CTA dispatch: block `b` of the grid runs on SM `b % num_sms`.
-/// Returns one list of global CTA ids per SM, each in launch order. This is
-/// PR 2's single-kernel dispatcher, kept as the building block every policy
-/// composes.
-pub fn dispatch_round_robin(num_ctas: usize, num_sms: usize) -> Vec<Vec<usize>> {
-    let num_sms = num_sms.max(1);
-    let mut out = vec![Vec::with_capacity(num_ctas.div_ceil(num_sms)); num_sms];
-    for b in 0..num_ctas {
-        out[b % num_sms].push(b);
-    }
-    out
-}
-
 /// The disjoint SM sets the [`DispatchPolicy::SpatialPartition`] policy hands
 /// to each of `num_tenants` tenants on a chip of `num_sms` SMs: contiguous
 /// ranges balanced to within one SM, in tenant order. With more tenants than
@@ -351,70 +329,6 @@ pub fn spatial_sm_sets(num_tenants: usize, num_sms: usize) -> Vec<Vec<usize>> {
         next += len;
     }
     sets
-}
-
-/// Computes each SM's work list for `streams` under `policy` on a chip of
-/// `num_sms` SMs. Pure and deterministic: the same inputs always produce the
-/// same lists. Arrival cycles are ignored here — `build_dispatch` (what the
-/// engine uses) splits the same assignments into arrival-ordered batches.
-///
-/// For [`DispatchPolicy::Exclusive`] this returns the per-stream round-robin
-/// assignments concatenated in stream order — the single-engine
-/// approximation in which a later kernel's CTAs launch on an SM as soon as
-/// the earlier kernel's CTAs retire from it. [`KernelQueue::run`] implements
-/// the exact policy (fully serial execution with cold caches between
-/// kernels) and is what the harness uses.
-///
-/// For [`DispatchPolicy::InterferenceAware`] with a single stream the
-/// adaptive machinery has nothing to arbitrate, so the assignment degenerates
-/// to plain round-robin over every SM (bit-identical to `Exclusive` with one
-/// stream). With several streams the up-front lists are *empty* — the
-/// [`AdaptiveDispatcher`] feeds CTAs to SMs at epoch boundaries instead.
-pub fn plan(streams: &[KernelStream], num_sms: usize, policy: DispatchPolicy) -> Vec<Vec<CtaWork>> {
-    let num_sms = num_sms.max(1);
-    let mut lists: Vec<Vec<CtaWork>> = vec![Vec::new(); num_sms];
-    match policy {
-        DispatchPolicy::Exclusive => {
-            for stream in streams {
-                for (sm, work) in round_robin_split(stream_work(stream), num_sms) {
-                    lists[sm].extend(work);
-                }
-            }
-        }
-        DispatchPolicy::InterferenceAware => {
-            if let [stream] = streams {
-                for (sm, work) in round_robin_split(stream_work(stream), num_sms) {
-                    lists[sm].extend(work);
-                }
-            }
-        }
-        DispatchPolicy::SpatialPartition => {
-            let sets = spatial_sm_sets(streams.len(), num_sms);
-            for (stream, set) in streams.iter().zip(&sets) {
-                for (j, work) in stream_work(stream).into_iter().enumerate() {
-                    lists[set[j % set.len()]].push(work);
-                }
-            }
-        }
-        DispatchPolicy::SharedRoundRobin => {
-            let mut queues: Vec<Vec<CtaWork>> = streams.iter().map(stream_work).collect();
-            for q in &mut queues {
-                q.reverse(); // pop from the back = launch order
-            }
-            let mut sequence: Vec<CtaWork> = Vec::new();
-            while queues.iter().any(|q| !q.is_empty()) {
-                for q in &mut queues {
-                    if let Some(work) = q.pop() {
-                        sequence.push(work);
-                    }
-                }
-            }
-            for (b, work) in sequence.into_iter().enumerate() {
-                lists[b % num_sms].push(work);
-            }
-        }
-    }
-    lists
 }
 
 /// Splits one stream's work round-robin across SMs, yielding `(sm, items)`.
@@ -458,10 +372,11 @@ pub(crate) struct DispatchPlan {
     pub adaptive: Option<AdaptiveDispatcher>,
 }
 
-/// Builds the dispatch plan for `streams` under `policy`. With every arrival
-/// at cycle 0 and a static policy this reduces to [`plan`] (all work initial,
-/// nothing deferred); late arrivals are grouped by arrival cycle into
-/// [`DeferredBatch`]es placed with the same per-policy rules:
+/// Builds the dispatch plan for `streams` under `policy`. Pure and
+/// deterministic. Streams are grouped by arrival cycle: the arrival-0 group
+/// becomes the `initial` work lists, and each later group becomes one
+/// [`DeferredBatch`], in ascending arrival order. Every group is placed with
+/// the same per-policy rules:
 ///
 /// * `SpatialPartition` — SM sets are computed over *all* streams (a late
 ///   tenant's SM share is reserved from the start), each stream's grid is
@@ -469,8 +384,11 @@ pub(crate) struct DispatchPlan {
 /// * `SharedRoundRobin` — streams sharing an arrival cycle are interleaved
 ///   round-robin; the SM cursor continues across batches so late work keeps
 ///   filling SMs evenly.
-/// * `Exclusive` / single-stream plans — each stream's round-robin assignment
-///   becomes its own batch.
+/// * `Exclusive` / single-stream plans — each stream's grid is dealt
+///   round-robin over every SM, streams appended in tenant order. (The exact
+///   serial `Exclusive` policy runs one engine per stream; a single engine
+///   given several `Exclusive` streams launches a later kernel's CTAs on an
+///   SM as soon as the earlier kernel's CTAs retire from it.)
 /// * `InterferenceAware` with >1 stream — no static work at all; the
 ///   [`AdaptiveDispatcher`] admits and feeds everything at epoch boundaries.
 pub(crate) fn build_dispatch(
@@ -491,13 +409,6 @@ pub(crate) fn build_dispatch(
                 max_warps_per_sm,
                 epoch_cycles.max(1) * DECISION_EPOCHS,
             )),
-        };
-    }
-    if streams.iter().all(|s| s.arrival_cycle == 0) {
-        return DispatchPlan {
-            initial: plan(streams, num_sms, policy),
-            deferred: Vec::new(),
-            adaptive: None,
         };
     }
     // Group streams by arrival cycle (ascending; ties keep tenant order).
@@ -1175,260 +1086,6 @@ impl AdaptiveDispatcher {
     }
 }
 
-/// The chip-level kernel queue: the set of streams submitted for one
-/// co-execution run, and the entry point that executes them under a
-/// [`DispatchPolicy`] and assembles the combined, per-tenant-attributed
-/// [`SimResult`].
-#[derive(Default)]
-pub struct KernelQueue {
-    streams: Vec<KernelStream>,
-}
-
-impl KernelQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        KernelQueue::default()
-    }
-
-    /// Builds a queue from kernels, assigning tenant ids in submission order.
-    pub fn from_kernels(kernels: impl IntoIterator<Item = Arc<dyn Kernel>>) -> Self {
-        let mut queue = KernelQueue::new();
-        for k in kernels {
-            queue.push(k);
-        }
-        queue
-    }
-
-    /// Submits a kernel arriving at cycle 0, returning its tenant id.
-    pub fn push(&mut self, kernel: Arc<dyn Kernel>) -> TenantId {
-        self.push_at(kernel, 0)
-    }
-
-    /// Submits a kernel arriving at `arrival_cycle` (a *dynamic arrival*:
-    /// concurrent policies admit it at the first epoch boundary at or after
-    /// that cycle; the serial `Exclusive` policy starts it no earlier than
-    /// both its arrival and the previous kernel's completion). Returns the
-    /// tenant id the kernel was assigned.
-    pub fn push_at(&mut self, kernel: Arc<dyn Kernel>, arrival_cycle: Cycle) -> TenantId {
-        self.push_qos_at(kernel, arrival_cycle, QosSpec::default())
-    }
-
-    /// [`KernelQueue::push_at`] with an explicit [`QosSpec`] the
-    /// interference-aware dispatcher enforces (floors, reserved SMs); static
-    /// policies record the contract but place work unchanged.
-    pub fn push_qos_at(
-        &mut self,
-        kernel: Arc<dyn Kernel>,
-        arrival_cycle: Cycle,
-        qos: QosSpec,
-    ) -> TenantId {
-        let tenant = self.streams.len() as TenantId;
-        self.streams.push(KernelStream::new_qos_at(tenant, kernel, arrival_cycle, qos));
-        tenant
-    }
-
-    /// The submitted streams, in tenant order.
-    pub fn streams(&self) -> &[KernelStream] {
-        &self.streams
-    }
-
-    /// Number of submitted streams.
-    pub fn len(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// True when no stream was submitted.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-
-    /// Runs every submitted stream on a chip of `config.num_sms` SMs under
-    /// `policy` and returns the combined result. `build_unit` is called once
-    /// per SM per concurrent engine (per kernel for the serial `Exclusive`
-    /// policy) to construct that SM's scheduler and optional redirect cache.
-    ///
-    /// Concurrent policies run one [`Gpu`] engine over the planned work
-    /// lists; `Exclusive` runs one engine per stream back to back with cold
-    /// caches between kernels and chains the results (cycles add, tenant `k`'s
-    /// finish cycle is offset by every earlier kernel's runtime). A queue
-    /// with a single stream produces a result bit-identical to a plain
-    /// single-kernel chip run under every policy.
-    pub fn run<F>(&self, config: &GpuConfig, policy: DispatchPolicy, build_unit: F) -> SimResult
-    where
-        F: FnMut(usize) -> SmUnit,
-    {
-        self.run_with(config, policy, crate::event::BackendKind::default(), build_unit)
-    }
-
-    /// [`KernelQueue::run`] with an explicit [`crate::event::BackendKind`]
-    /// timing mode driving every engine the queue spins up (the one
-    /// concurrent engine, or each serial `Exclusive` engine). Both modes
-    /// produce bit-identical results; the chosen mode's label is recorded in
-    /// [`SimResult::backend`].
-    pub fn run_with<F>(
-        &self,
-        config: &GpuConfig,
-        policy: DispatchPolicy,
-        backend: crate::event::BackendKind,
-        build_unit: F,
-    ) -> SimResult
-    where
-        F: FnMut(usize) -> SmUnit,
-    {
-        self.run_with_observed(config, policy, backend, ObsLevel::Off, build_unit).0
-    }
-
-    /// [`KernelQueue::run_with`] with observability collection at `obs`:
-    /// every engine the queue spins up is armed before it runs and drained
-    /// after. For the serial `Exclusive` policy, each per-kernel run's
-    /// report is shifted to its start cycle and its solo tenant re-labelled
-    /// to the queue position, so the merged report shows one timeline with
-    /// one track per queued kernel. At [`ObsLevel::Off`] the returned report
-    /// is empty and collection costs nothing.
-    pub fn run_with_observed<F>(
-        &self,
-        config: &GpuConfig,
-        policy: DispatchPolicy,
-        backend: crate::event::BackendKind,
-        obs: ObsLevel,
-        mut build_unit: F,
-    ) -> (SimResult, ObsReport)
-    where
-        F: FnMut(usize) -> SmUnit,
-    {
-        assert!(!self.streams.is_empty(), "a kernel queue needs at least one stream");
-        let num_sms = config.num_sms.max(1);
-        if policy.is_concurrent() || self.streams.len() == 1 {
-            let units = (0..num_sms).map(&mut build_unit).collect();
-            let mut gpu = Gpu::with_streams(config.clone(), self.streams.clone(), policy, units);
-            gpu.set_obs(obs);
-            gpu.run(backend);
-            let report = gpu.take_obs();
-            let mut res = gpu.into_result();
-            res.policy = policy.label().to_string();
-            return (res, report);
-        }
-        // Exclusive: serial per-kernel chip runs, chained. A kernel starts no
-        // earlier than its arrival cycle and no earlier than the previous
-        // kernel's completion; the chip idles through any gap.
-        let mut runs = Vec::with_capacity(self.streams.len());
-        let mut clock: Cycle = 0;
-        let mut report = ObsReport::new(obs);
-        for (k, stream) in self.streams.iter().enumerate() {
-            let start = clock.max(stream.arrival_cycle);
-            let solo = KernelStream::new(0, Arc::clone(stream.kernel()));
-            let units = (0..num_sms).map(&mut build_unit).collect();
-            let mut gpu = Gpu::with_streams(config.clone(), vec![solo], policy, units);
-            gpu.set_obs(obs);
-            gpu.run(backend);
-            let mut run_report = gpu.take_obs();
-            run_report.relabel_tenant(0, k as u32);
-            run_report.shift_cycles(start);
-            report.merge(run_report);
-            let result = gpu.into_result();
-            clock = start + result.cycles;
-            runs.push((start, result));
-        }
-        report.tenants = self.streams.iter().map(|s| s.info().name.clone()).collect();
-        let mut merged = merge_serial(runs);
-        merged.policy = policy.label().to_string();
-        (merged, report)
-    }
-}
-
-/// Chains serially executed per-kernel results into one chip-level result:
-/// each run is shifted to its `start` cycle (the previous run's end, or later
-/// when the kernel's arrival gated it), event counters add, time series are
-/// concatenated with cycle and instruction offsets, and each run's tenant
-/// record is re-labelled with its queue position and shifted by its start.
-fn merge_serial(runs: Vec<(Cycle, SimResult)>) -> SimResult {
-    let num_runs = runs.len();
-    let mut iter = runs.into_iter();
-    let (first_start, mut merged) = iter.next().expect("at least one result");
-    debug_assert_eq!(merged.per_tenant.len(), 1);
-    if first_start > 0 {
-        // The very first kernel arrived late: the whole chip idles first.
-        let mut shifted = TimeSeries::default();
-        shifted.append_offset(&merged.time_series, first_start, 0);
-        merged.time_series = shifted;
-        merged.per_tenant[0].finish_cycle += first_start;
-        merged.cycles += first_start;
-        merged.stats.cycles = merged.cycles;
-        for sm in &mut merged.per_sm {
-            sm.cycles += first_start;
-        }
-    }
-    // Re-label the first run's fabric attribution under tenant 0 and fold
-    // each later run's single-tenant fabric traffic in under its queue
-    // position, so per-tenant fabric bytes keep summing to the chip totals.
-    let mut names = vec![merged.kernel.clone()];
-    for (k, (start, r)) in iter.enumerate() {
-        let gap = start - merged.cycles;
-        let inst_offset = merged.stats.instructions;
-        names.push(r.kernel.clone());
-        merged.time_series.append_offset(&r.time_series, start, inst_offset);
-        merged.interference.absorb(&r.interference);
-        merged.scheduler_metrics.merge(&r.scheduler_metrics);
-        merged.interconnect.bytes_transferred += r.interconnect.bytes_transferred;
-        merged.interconnect.queueing_cycles += r.interconnect.queueing_cycles;
-        merge_fabric_serial(&mut merged.fabric, &r.fabric, (k + 1) as TenantId);
-        merged.capped |= r.capped;
-        merge_sm_serial(&mut merged.stats, &r.stats, gap);
-        for (a, b) in merged.per_sm.iter_mut().zip(&r.per_sm) {
-            merge_sm_serial(a, b, gap);
-        }
-        let mut tenant = r.per_tenant.into_iter().next().expect("serial run has one tenant");
-        tenant.tenant = (k + 1) as TenantId;
-        tenant.finish_cycle += start;
-        debug_assert_eq!(tenant.fabric_request_bytes, r.fabric.request.tenant_bytes(0));
-        merged.per_tenant.push(tenant);
-        merged.cycles = start + r.cycles;
-        merged.stats.cycles = merged.cycles;
-    }
-    // merge_sm_serial accumulates utilisation *sums*; divide once so every
-    // run weighs equally in the mean regardless of queue position.
-    merged.stats.redirect_utilization /= num_runs as f64;
-    for sm in &mut merged.per_sm {
-        sm.redirect_utilization /= num_runs as f64;
-    }
-    merged.kernel = names.join("+");
-    merged
-}
-
-/// Serial composition of two SM stat blocks: counters sum (as in
-/// [`SmStats::reduce`]) but cycles *add* (plus any arrival-induced idle gap
-/// between the runs) instead of taking the maximum, because the runs happened
-/// back to back on the same SM.
-/// `redirect_utilization` accumulates as a *sum* — [`merge_serial`] divides
-/// by the run count once at the end, so the mean is equal-weighted.
-fn merge_sm_serial(a: &mut SmStats, b: &SmStats, gap: Cycle) {
-    let cycles = a.cycles + gap + b.cycles;
-    let utilization_sum = a.redirect_utilization + b.redirect_utilization;
-    *a = SmStats::reduce(&[a.clone(), b.clone()]);
-    a.cycles = cycles;
-    a.redirect_utilization = utilization_sum;
-}
-
-/// Folds a serially-executed solo run's crossbar-fabric traffic into the
-/// merged chip result, re-attributing the run's (single, tenant-0) traffic to
-/// queue position `tenant` so per-tenant bytes still sum to the chip totals.
-fn merge_fabric_serial(
-    merged: &mut gpu_mem::FabricStats,
-    run: &gpu_mem::FabricStats,
-    tenant: TenantId,
-) {
-    merged.bytes_per_cycle = run.bytes_per_cycle.max(merged.bytes_per_cycle);
-    for (into, from) in [(&mut merged.request, &run.request), (&mut merged.reply, &run.reply)] {
-        into.bytes_transferred += from.bytes_transferred;
-        into.queueing_cycles += from.queueing_cycles;
-        let idx = tenant as usize;
-        if into.tenant_bytes.len() <= idx {
-            into.tenant_bytes.resize(idx + 1, 0);
-        }
-        into.tenant_bytes[idx] += from.tenant_bytes.iter().sum::<u64>();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1456,13 +1113,13 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn round_robin_covers_every_block_once() {
-        let lists = dispatch_round_robin(10, 3);
-        assert_eq!(lists.len(), 3);
-        assert_eq!(lists[0], vec![0, 3, 6, 9]);
-        assert_eq!(lists[1], vec![1, 4, 7]);
-        assert_eq!(lists[2], vec![2, 5, 8]);
+    /// The up-front work lists `build_dispatch` installs for `streams`.
+    fn initial(
+        streams: &[KernelStream],
+        num_sms: usize,
+        policy: DispatchPolicy,
+    ) -> Vec<Vec<CtaWork>> {
+        build_dispatch(streams, num_sms, policy, 48, 64).initial
     }
 
     #[test]
@@ -1484,16 +1141,24 @@ mod tests {
     #[test]
     fn interference_aware_single_stream_plan_matches_exclusive() {
         let s = streams(&[(9, 2)]);
-        let adaptive = plan(&s, 4, DispatchPolicy::InterferenceAware);
-        let exclusive = plan(&s, 4, DispatchPolicy::Exclusive);
-        for (a, e) in adaptive.iter().zip(&exclusive) {
+        let adaptive = build_dispatch(&s, 4, DispatchPolicy::InterferenceAware, 48, 64);
+        assert!(adaptive.adaptive.is_none(), "one stream leaves nothing to arbitrate");
+        let exclusive = initial(&s, 4, DispatchPolicy::Exclusive);
+        for (a, e) in adaptive.initial.iter().zip(&exclusive) {
             let ctas = |l: &Vec<CtaWork>| l.iter().map(|w| w.cta).collect::<Vec<_>>();
             assert_eq!(ctas(a), ctas(e));
         }
         // Multi-stream adaptive plans are empty: the dispatcher feeds SMs at
         // run time instead.
-        let multi = plan(&streams(&[(4, 2), (4, 2)]), 4, DispatchPolicy::InterferenceAware);
-        assert!(multi.iter().all(Vec::is_empty));
+        let multi = build_dispatch(
+            &streams(&[(4, 2), (4, 2)]),
+            4,
+            DispatchPolicy::InterferenceAware,
+            48,
+            64,
+        );
+        assert!(multi.initial.iter().all(Vec::is_empty));
+        assert!(multi.adaptive.is_some());
     }
 
     #[test]
@@ -1508,11 +1173,11 @@ mod tests {
     #[test]
     fn single_stream_shared_rr_matches_round_robin() {
         let s = streams(&[(7, 2)]);
-        let lists = plan(&s, 3, DispatchPolicy::SharedRoundRobin);
-        let reference = dispatch_round_robin(7, 3);
+        let lists = initial(&s, 3, DispatchPolicy::SharedRoundRobin);
         for (sm, list) in lists.iter().enumerate() {
             let ctas: Vec<usize> = list.iter().map(|w| w.cta as usize).collect();
-            assert_eq!(ctas, reference[sm]);
+            let reference: Vec<usize> = (0..7).filter(|b| b % 3 == sm).collect();
+            assert_eq!(ctas, reference);
             assert!(list.iter().all(|w| w.tenant == 0));
         }
     }
@@ -1520,7 +1185,7 @@ mod tests {
     #[test]
     fn shared_rr_interleaves_tenants_on_every_sm() {
         let s = streams(&[(4, 2), (4, 2)]);
-        let lists = plan(&s, 2, DispatchPolicy::SharedRoundRobin);
+        let lists = initial(&s, 2, DispatchPolicy::SharedRoundRobin);
         // Interleaved sequence: (t0,c0) (t1,c0) (t0,c1) (t1,c1) ...
         // SM 0 gets even positions, SM 1 odd ones.
         let tenants_sm0: Vec<TenantId> = lists[0].iter().map(|w| w.tenant).collect();
@@ -1528,7 +1193,7 @@ mod tests {
         assert_eq!(tenants_sm0, vec![0, 0, 0, 0]);
         assert_eq!(tenants_sm1, vec![1, 1, 1, 1]);
         // With 3 SMs both tenants appear on every SM.
-        let lists3 = plan(&s, 3, DispatchPolicy::SharedRoundRobin);
+        let lists3 = initial(&s, 3, DispatchPolicy::SharedRoundRobin);
         for list in &lists3 {
             assert!(!list.is_empty());
         }
@@ -1540,7 +1205,7 @@ mod tests {
     #[test]
     fn spatial_partition_confines_tenants_to_their_sets() {
         let s = streams(&[(6, 2), (9, 2)]);
-        let lists = plan(&s, 4, DispatchPolicy::SpatialPartition);
+        let lists = initial(&s, 4, DispatchPolicy::SpatialPartition);
         let sets = spatial_sm_sets(2, 4);
         for (sm, list) in lists.iter().enumerate() {
             for w in list {
@@ -1551,111 +1216,62 @@ mod tests {
                 );
             }
         }
-        // Every CTA of every stream is assigned exactly once.
-        let mut counts = [vec![0usize; 6], vec![0usize; 9]];
-        for w in lists.iter().flatten() {
-            counts[w.tenant as usize][w.cta as usize] += 1;
-        }
-        assert!(counts.iter().flatten().all(|&c| c == 1));
-    }
-
-    fn load_kernel(name: &str, ctas: usize, ops: usize) -> Arc<dyn Kernel> {
-        let info = KernelInfo {
-            name: name.into(),
-            num_ctas: ctas,
-            warps_per_cta: 2,
-            shared_mem_per_cta: 0,
-        };
-        Arc::new(ClosureKernel::new(info, move |cta, w| {
-            let ops = (0..ops)
-                .map(|i| {
-                    WarpOp::coalesced_load((cta as u64 * 977 + w as u64 * 131 + i as u64) * 128)
-                })
-                .collect();
-            Box::new(VecProgram::new(ops))
-        }))
-    }
-
-    fn gto_units() -> impl FnMut(usize) -> crate::gpu::SmUnit {
-        |_| (Box::new(crate::scheduler::GtoScheduler::new()) as _, None)
-    }
-
-    #[test]
-    fn exclusive_queue_chains_serial_runs() {
-        let config = crate::config::GpuConfig::gtx480().with_num_sms(2);
-        let a = load_kernel("a", 2, 8);
-        let b = load_kernel("b", 2, 8);
-        let solo_cycles = |k: &Arc<dyn Kernel>| {
-            KernelQueue::from_kernels([Arc::clone(k)])
-                .run(&config, DispatchPolicy::Exclusive, gto_units())
-                .cycles
-        };
-        let (ca, cb) = (solo_cycles(&a), solo_cycles(&b));
-        let res =
-            KernelQueue::from_kernels([a, b]).run(&config, DispatchPolicy::Exclusive, gto_units());
-        assert_eq!(res.policy, "exclusive");
-        assert_eq!(res.kernel, "a+b");
-        assert_eq!(res.per_tenant.len(), 2);
-        // Serial total: cycles add; tenant 1 queues behind tenant 0.
-        assert_eq!(res.cycles, ca + cb);
-        assert_eq!(res.stats.cycles, res.cycles);
-        assert!(res.per_tenant[0].finish_cycle <= ca);
-        assert!(res.per_tenant[1].finish_cycle > ca);
-        assert_eq!(res.per_tenant[0].tenant, 0);
-        assert_eq!(res.per_tenant[1].tenant, 1);
-        assert_eq!(res.stats.instructions, 2 * (2 * 2 * 8));
-        assert!(!res.capped);
-        // Per-tenant instruction split covers the total exactly.
-        assert_eq!(
-            res.per_tenant.iter().map(|t| t.instructions).sum::<u64>(),
-            res.stats.instructions
-        );
-    }
-
-    #[test]
-    fn single_stream_queue_matches_plain_chip_run_under_every_policy() {
-        let config = crate::config::GpuConfig::gtx480().with_num_sms(2);
-        let reference = {
-            let mut gpu = crate::gpu::Gpu::new(
-                config.clone(),
-                load_kernel("k", 4, 10),
-                (0..2).map(|i| gto_units()(i)).collect(),
-            );
-            gpu.run(crate::event::BackendKind::Event);
-            gpu.into_result()
-        };
-        for policy in DispatchPolicy::all() {
-            let res = KernelQueue::from_kernels([load_kernel("k", 4, 10)]).run(
-                &config,
-                policy,
-                gto_units(),
-            );
-            assert_eq!(res.cycles, reference.cycles, "{policy}");
-            assert_eq!(res.stats, reference.stats, "{policy}");
-            assert_eq!(res.per_sm, reference.per_sm, "{policy}");
-            assert_eq!(res.time_series, reference.time_series, "{policy}");
-            assert_eq!(res.per_tenant, reference.per_tenant, "{policy}");
-        }
     }
 
     proptest! {
-        /// Every static policy assigns every CTA of every stream exactly once.
+        /// For every static policy, any mix of stream shapes and any SM
+        /// count, with each stream arriving at cycle 0 or later:
+        ///
+        /// * every CTA of every stream is placed exactly once across the
+        ///   initial lists and the deferred batches;
+        /// * deferred batches arrive after cycle 0, in strictly ascending
+        ///   order;
+        /// * arrival-0 work is only in the initial lists, and each batch holds
+        ///   only work of the streams arriving at its cycle;
+        /// * a single stream is balanced: per-SM loads differ by at most one.
         #[test]
-        fn plan_is_a_partition(
-            shapes in proptest::collection::vec((1usize..40, 1usize..4), 1..5),
+        fn build_dispatch_places_every_cta_once(
+            shapes in proptest::collection::vec((1usize..40, 1usize..4, 0u64..4), 1..5),
             sms in 1usize..32,
             policy_idx in 0usize..3,
         ) {
             let policy = DispatchPolicy::static_policies()[policy_idx];
-            let s = streams(&shapes);
-            let lists = plan(&s, sms, policy);
-            prop_assert_eq!(lists.len(), sms);
+            // Arrival slot 0 launches at cycle 0; slots 1..3 arrive late, with
+            // ties so several streams can share one batch.
+            let s = streams_at(
+                &shapes.iter().map(|&(ctas, warps, slot)| (ctas, warps, slot * 1_000)).collect::<Vec<_>>(),
+            );
+            let built = build_dispatch(&s, sms, policy, 48, 64);
+            prop_assert!(built.adaptive.is_none());
+            prop_assert_eq!(built.initial.len(), sms);
             let mut counts: Vec<Vec<usize>> =
-                shapes.iter().map(|&(ctas, _)| vec![0; ctas]).collect();
-            for w in lists.iter().flatten() {
-                counts[w.tenant as usize][w.cta as usize] += 1;
+                shapes.iter().map(|&(ctas, _, _)| vec![0; ctas]).collect();
+            let mut loads = vec![0usize; sms];
+            for (sm, list) in built.initial.iter().enumerate() {
+                for w in list {
+                    prop_assert_eq!(s[w.tenant as usize].arrival_cycle, 0);
+                    counts[w.tenant as usize][w.cta as usize] += 1;
+                    loads[sm] += 1;
+                }
             }
-            prop_assert!(counts.iter().flatten().all(|&c| c == 1));
+            let mut last = 0;
+            for batch in &built.deferred {
+                prop_assert!(batch.arrival > last, "deferred arrivals must ascend past 0");
+                last = batch.arrival;
+                prop_assert_eq!(batch.per_sm.len(), sms);
+                for (sm, list) in batch.per_sm.iter().enumerate() {
+                    for w in list {
+                        prop_assert_eq!(s[w.tenant as usize].arrival_cycle, batch.arrival);
+                        counts[w.tenant as usize][w.cta as usize] += 1;
+                        loads[sm] += 1;
+                    }
+                }
+            }
+            prop_assert!(counts.iter().flatten().all(|&c| c == 1), "every CTA placed exactly once");
+            if s.len() == 1 {
+                let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
+                prop_assert!(max - min <= 1, "unbalanced single stream: {:?}", loads);
+            }
         }
     }
 
@@ -1667,44 +1283,6 @@ mod tests {
                 KernelStream::new_at(t as TenantId, kernel(&format!("k{t}"), ctas, warps), arrival)
             })
             .collect()
-    }
-
-    #[test]
-    fn build_dispatch_all_zero_arrivals_matches_plan() {
-        let s = streams(&[(5, 2), (7, 1)]);
-        for policy in DispatchPolicy::static_policies() {
-            let built = build_dispatch(&s, 3, policy, 48, 64);
-            let planned = plan(&s, 3, policy);
-            assert!(built.deferred.is_empty(), "{policy}");
-            assert!(built.adaptive.is_none(), "{policy}");
-            for (a, b) in built.initial.iter().zip(&planned) {
-                let key =
-                    |l: &Vec<CtaWork>| l.iter().map(|w| (w.tenant, w.cta)).collect::<Vec<_>>();
-                assert_eq!(key(a), key(b), "{policy}");
-            }
-        }
-    }
-
-    #[test]
-    fn build_dispatch_defers_late_arrivals_without_losing_work() {
-        for policy in DispatchPolicy::static_policies() {
-            let s = streams_at(&[(5, 2, 0), (7, 1, 1000), (3, 1, 1000)]);
-            let built = build_dispatch(&s, 4, policy, 48, 64);
-            // Arrival-0 work is installed up front; the cycle-1000 group is
-            // one deferred batch.
-            assert_eq!(built.deferred.len(), 1, "{policy}");
-            assert_eq!(built.deferred[0].arrival, 1000, "{policy}");
-            let mut counts = [vec![0usize; 5], vec![0usize; 7], vec![0usize; 3]];
-            for w in built.initial.iter().flatten() {
-                counts[w.tenant as usize][w.cta as usize] += 1;
-            }
-            assert!(counts[0].iter().all(|&c| c == 1), "{policy}");
-            assert!(counts[1].iter().chain(&counts[2]).all(|&c| c == 0), "{policy}");
-            for w in built.deferred[0].per_sm.iter().flatten() {
-                counts[w.tenant as usize][w.cta as usize] += 1;
-            }
-            assert!(counts.iter().flatten().all(|&c| c == 1), "{policy}");
-        }
     }
 
     #[test]

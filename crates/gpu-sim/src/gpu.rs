@@ -62,8 +62,8 @@
 //!   steps every cycle — no parking, no sleep, no idle skip.
 //!
 //! With a single SM and static work the engine skips the boundaries
-//! entirely and gives the SM a private memory partition, reproducing the
-//! legacy single-SM simulator bit for bit.
+//! entirely: the SM owns a private memory partition and runs straight to
+//! completion.
 
 use std::sync::Arc;
 
@@ -140,7 +140,7 @@ pub struct MemRequest {
 /// The SM's port into the downstream memory system.
 ///
 /// `Private` owns a full [`MemoryPartition`] and serves every request at
-/// issue time — the legacy single-SM configuration. `Deferred` buffers
+/// issue time — the single-SM chip configuration. `Deferred` buffers
 /// requests for boundary service by the [`Gpu`] engine and carries the
 /// chip DRAM-utilisation snapshot the scheduler context reads during the
 /// epoch.
@@ -389,7 +389,6 @@ impl Gpu {
             config.max_warps_per_sm,
             config.effective_epoch_cycles(),
         );
-        dispatch_plan.deferred.sort_by_key(|b| b.arrival);
         let assignments = std::mem::take(&mut dispatch_plan.initial);
         let tenant_names: Vec<String> = streams.iter().map(|s| s.info().name.clone()).collect();
         let tenant_qos: Vec<&'static str> = streams.iter().map(|s| s.qos.latency.label()).collect();
@@ -1569,11 +1568,12 @@ mod tests {
                 }
             };
             let run = |backend: BackendKind| {
-                let mut queue = crate::dispatch::KernelQueue::new();
-                queue.push(make(0));
-                queue.push_at(make(1), arrival);
-                let config = GpuConfig::gtx480().with_num_sms(sms);
-                let mut res = queue.run_with(&config, policy, backend, |_| units(1).remove(0));
+                let req = crate::SimRequest::kernel(make(0))
+                    .stream_at(make(1), arrival)
+                    .policy(policy)
+                    .backend(backend);
+                let sim = crate::Simulator::new(GpuConfig::gtx480().with_num_sms(sms));
+                let mut res = sim.execute(req, |_| units(1).remove(0));
                 res.backend.clear();
                 serde_json::to_string(&res).expect("serialise")
             };
@@ -1653,20 +1653,5 @@ mod tests {
         // Wall-clock profiling was active and saw the service pipeline.
         assert!(a.profile.is_enabled());
         assert!(a.profile.stat("bank-service").is_some());
-    }
-
-    #[test]
-    fn exclusive_serial_queue_is_backend_agnostic() {
-        let mut queue = crate::dispatch::KernelQueue::new();
-        queue.push(kernel(3, 12));
-        queue.push_at(kernel(3, 12), 5_000);
-        let config = GpuConfig::gtx480().with_num_sms(3);
-        let build = |_: usize| (Box::new(GtoScheduler::new()) as Box<dyn WarpScheduler>, None);
-        let epoch = queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Epoch, build);
-        let mut event =
-            queue.run_with(&config, DispatchPolicy::Exclusive, BackendKind::Event, build);
-        assert_eq!(event.backend, "event");
-        event.backend = epoch.backend.clone();
-        assert_eq!(serde_json::to_string(&epoch).unwrap(), serde_json::to_string(&event).unwrap());
     }
 }

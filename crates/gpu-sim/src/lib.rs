@@ -29,8 +29,7 @@
 //!   arrival cycles, the `Exclusive` / `SpatialPartition` /
 //!   `SharedRoundRobin` static SM partitioning policies, the adaptive
 //!   `InterferenceAware` policy ([`dispatch::AdaptiveDispatcher`], the
-//!   chip-level analogue of CIAO-T), and the chip-level
-//!   [`dispatch::KernelQueue`].
+//!   chip-level analogue of CIAO-T).
 //! * [`gpu`] — the multi-SM chip engine: per-SM crossbar/memory ports and
 //!   the deterministic epoch-boundary loop driving the SMs against a shared
 //!   banked L2/DRAM backend with per-tenant attribution.
@@ -43,8 +42,8 @@
 //!   idle-cycle skipping) and the per-cycle reference mode.
 //! * [`simulator`] — one-call driver: describe a run with a
 //!   [`simulator::SimRequest`] (streams, arrivals, policy, SM count, timing
-//!   mode) and execute it with [`simulator::Simulator::execute`] to get a
-//!   [`simulator::SimResult`].
+//!   mode) and execute it with [`simulator::Simulator::execute`] — the only
+//!   way to run the chip — to get a [`simulator::SimResult`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -67,8 +66,8 @@ pub mod warp;
 pub use coalescer::coalesce;
 pub use config::GpuConfig;
 pub use dispatch::{
-    dispatch_round_robin, spatial_sm_sets, AdaptiveDispatcher, CtaWork, DispatchPolicy,
-    KernelQueue, KernelStream, LatencyClass, QosSpec, TenantSignal,
+    spatial_sm_sets, AdaptiveDispatcher, CtaWork, DispatchPolicy, KernelStream, LatencyClass,
+    QosSpec, TenantSignal,
 };
 pub use event::BackendKind;
 pub use gpu::{Gpu, MemRequest, MemoryPort, SmUnit};

@@ -1,31 +1,28 @@
 //! One-call simulation driver.
 //!
 //! Describe a run with a [`SimRequest`] — kernel streams with arrival
-//! cycles, the [`DispatchPolicy`], the SM count, and the
-//! [`BackendKind`] timing mode — then hand it to
-//! [`Simulator::execute`], which wraps [`Sm`] / [`crate::gpu::Gpu`]
-//! construction and the
-//! run loop and packages everything the experiment harness needs (aggregate
-//! stats, per-SM breakdowns, time series, interference matrix, scheduler
-//! metrics) into a [`SimResult`]. `SimRequest` + `execute` is the *only*
-//! entry point — the legacy `run` / `run_chip` / `run_mix` / `run_mix_at`
-//! quartet it subsumed is gone.
+//! cycles and [`QosSpec`] contracts, the [`DispatchPolicy`], the SM count,
+//! and the [`BackendKind`] timing mode — then hand it to
+//! [`Simulator::execute`], which builds and runs the [`Gpu`] engine and
+//! packages everything the experiment harness needs (aggregate stats,
+//! per-SM breakdowns, per-tenant attribution, time series, interference
+//! matrix, scheduler metrics) into a [`SimResult`]. `SimRequest` +
+//! `execute` is the *only* way to run the chip: [`crate::dispatch`] decides
+//! where CTAs go, this module decides how a request becomes a result.
 
 use std::sync::Arc;
 
 use crate::config::GpuConfig;
-use crate::dispatch::{DispatchPolicy, KernelQueue, QosSpec};
+use crate::dispatch::{DispatchPolicy, KernelStream, QosSpec};
 use crate::event::BackendKind;
-use crate::gpu::SmUnit;
+use crate::gpu::{Gpu, SmUnit};
 use crate::kernel::Kernel;
-use crate::redirect::RedirectCache;
-use crate::scheduler::{SchedulerMetrics, WarpScheduler};
-use crate::sm::Sm;
+use crate::scheduler::SchedulerMetrics;
 use crate::stats::{DispatchLog, InterferenceMatrix, SmImbalance, SmStats, TimeSeries};
-use gpu_mem::interconnect::{Crossbar, CrossbarStats, FabricStats, Interconnect};
+use gpu_mem::interconnect::{CrossbarStats, FabricStats};
 use gpu_mem::{Cycle, TenantId, TenantMemStats};
 use serde::{Deserialize, Serialize};
-use sim_obs::{ObsLevel, ObsReport, PhaseProfiler};
+use sim_obs::{ObsLevel, ObsReport};
 
 /// Version of the [`SimResult`] JSON shape.
 ///
@@ -133,7 +130,7 @@ pub struct SimResult {
     /// Whether the run ended because it hit an instruction/cycle cap rather
     /// than finishing the kernel (on a multi-SM chip: any SM hit a cap).
     pub capped: bool,
-    /// Number of SMs simulated (1 for the legacy single-SM path).
+    /// Number of SMs simulated.
     pub num_sms: usize,
     /// Per-SM statistics, indexed by SM; `stats` is their
     /// [`SmStats::reduce`] aggregate.
@@ -182,9 +179,7 @@ impl SimResult {
 /// [`BackendKind`] timing mode. Consumed by [`Simulator::execute`].
 #[derive(Clone)]
 pub struct SimRequest {
-    kernels: Vec<Arc<dyn Kernel>>,
-    arrivals: Vec<Cycle>,
-    qos: Vec<QosSpec>,
+    streams: Vec<KernelStream>,
     policy: DispatchPolicy,
     backend: BackendKind,
     num_sms: Option<usize>,
@@ -194,9 +189,7 @@ pub struct SimRequest {
 impl Default for SimRequest {
     fn default() -> Self {
         SimRequest {
-            kernels: Vec::new(),
-            arrivals: Vec::new(),
-            qos: Vec::new(),
+            streams: Vec::new(),
             policy: DispatchPolicy::Exclusive,
             backend: BackendKind::default(),
             num_sms: None,
@@ -236,9 +229,8 @@ impl SimRequest {
     /// and reserved SMs, and every policy reports its latency class in
     /// [`TenantResult::qos`].
     pub fn stream_qos_at(mut self, kernel: Arc<dyn Kernel>, arrival: Cycle, qos: QosSpec) -> Self {
-        self.kernels.push(kernel);
-        self.arrivals.push(arrival);
-        self.qos.push(qos);
+        let tenant = self.streams.len() as TenantId;
+        self.streams.push(KernelStream::new_qos_at(tenant, kernel, arrival, qos));
         self
     }
 
@@ -256,8 +248,8 @@ impl SimRequest {
     }
 
     /// Overrides the SM count (default: the simulator configuration's
-    /// `num_sms`). A count of 1 selects the legacy single-SM engine with a
-    /// private memory partition.
+    /// `num_sms`). A 1-SM chip gives its SM a private memory partition
+    /// instead of the shared banked backend and fabric.
     pub fn num_sms(mut self, num_sms: usize) -> Self {
         self.num_sms = Some(num_sms);
         self
@@ -273,7 +265,7 @@ impl SimRequest {
 
     /// The streams submitted so far.
     pub fn streams(&self) -> usize {
-        self.kernels.len()
+        self.streams.len()
     }
 }
 
@@ -297,14 +289,16 @@ impl Simulator {
     /// called once per SM per engine (per kernel for the serial `Exclusive`
     /// policy) to construct that SM's scheduler and optional redirect cache.
     ///
-    /// Routing, all bit-identical to the legacy entry points it subsumed:
+    /// Every request runs on a chip of `num_sms` SMs:
     ///
-    /// * one stream, one SM, arrival 0, `Exclusive` — the single-SM engine
-    ///   with a private memory partition (the legacy configuration every
-    ///   recorded baseline number comes from);
-    /// * everything else — a chip of `num_sms` SMs against the shared banked
-    ///   L2/DRAM backend via [`KernelQueue`] (see [`KernelQueue::run`] for
-    ///   the policy semantics).
+    /// * a concurrent policy, or a single stream under any policy, runs one
+    ///   [`Gpu`] engine over the streams (a single stream's result differs
+    ///   across policies only in its `policy` label);
+    /// * [`DispatchPolicy::Exclusive`] with several streams runs one engine
+    ///   per stream back to back with cold caches between kernels, and
+    ///   chains the results: a kernel starts no earlier than its arrival and
+    ///   the previous kernel's completion, cycles add, and tenant `k`'s
+    ///   finish cycle includes every earlier kernel's runtime.
     ///
     /// The [`BackendKind`] chooses the timing mode; `epoch` and `event`
     /// produce bit-identical results, differing only in wall-clock time.
@@ -323,125 +317,147 @@ impl Simulator {
     /// events, the metrics registry and the wall-clock phase profile, at the
     /// request's [`SimRequest::obs`] level. The simulation result is
     /// byte-identical to what [`Simulator::execute`] returns for the same
-    /// request — collection is strictly passive.
+    /// request — collection is strictly passive. For the serial `Exclusive`
+    /// policy each per-kernel report is shifted to its start cycle and its
+    /// solo tenant re-labelled to the queue position, so the merged report
+    /// shows one timeline with one track per queued kernel.
     pub fn execute_observed<F>(&self, req: SimRequest, mut build_unit: F) -> (SimResult, ObsReport)
     where
         F: FnMut(usize) -> SmUnit,
     {
-        assert!(!req.kernels.is_empty(), "a SimRequest needs at least one kernel stream");
-        let num_sms = req.num_sms.unwrap_or(self.config.num_sms).max(1);
-        let static_single = req.kernels.len() == 1
-            && num_sms == 1
-            && req.arrivals.iter().all(|&a| a == 0)
-            && matches!(req.policy, DispatchPolicy::Exclusive);
-        if static_single {
-            let kernel = req.kernels.into_iter().next().expect("one stream");
-            let qos = req.qos.into_iter().next().unwrap_or_default();
-            let (scheduler, redirect) = build_unit(0);
-            return self.run_single(kernel, scheduler, redirect, req.backend, req.obs, qos);
+        assert!(!req.streams.is_empty(), "a SimRequest needs at least one kernel stream");
+        let num_sms = req.num_sms.unwrap_or(self.config.num_sms);
+        let config = self.config.clone().with_num_sms(num_sms);
+        let SimRequest { streams, policy, backend, obs, .. } = req;
+        if policy.is_concurrent() || streams.len() == 1 {
+            return run_chip(&config, streams, policy, backend, obs, &mut build_unit);
         }
-        let config = if num_sms == self.config.num_sms {
-            self.config.clone()
-        } else {
-            self.config.clone().with_num_sms(num_sms)
-        };
-        let mut queue = KernelQueue::new();
-        for ((kernel, arrival), qos) in req.kernels.into_iter().zip(req.arrivals).zip(req.qos) {
-            queue.push_qos_at(kernel, arrival, qos);
-        }
-        queue.run_with_observed(&config, req.policy, req.backend, req.obs, build_unit)
-    }
-
-    /// The legacy single-SM path: one kernel, one SM, a private memory
-    /// partition. Kept verbatim so `execute` reproduces historical baseline
-    /// numbers bit for bit.
-    fn run_single(
-        &self,
-        kernel: Arc<dyn Kernel>,
-        scheduler: Box<dyn WarpScheduler>,
-        redirect: Option<Box<dyn RedirectCache>>,
-        backend: BackendKind,
-        obs: ObsLevel,
-        qos: QosSpec,
-    ) -> (SimResult, ObsReport) {
-        let kernel_name = kernel.info().name.clone();
-        let scheduler_name = scheduler.name().to_string();
-        let interconnect = Interconnect::new(
-            self.config.interconnect_latency,
-            self.config.interconnect_bytes_per_cycle,
-        );
-        let port = crate::gpu::MemoryPort::private(self.config.partition.clone());
-        let work = Sm::work_of(kernel, 0);
-        let mut sm =
-            Sm::with_parts(self.config.clone(), work, scheduler, redirect, interconnect, port);
-        let mut profiler =
-            if obs.metrics_enabled() { PhaseProfiler::enabled() } else { PhaseProfiler::default() };
-        if obs.metrics_enabled() {
-            sm.enable_port_obs(obs.trace_enabled());
-        }
-        if obs.trace_enabled() {
-            sm.set_trace(0);
-        }
-        profiler.enter("sm-run");
-        sm.advance(Cycle::MAX, backend == BackendKind::Event);
-        sm.finalize_stats();
-        profiler.exit();
+        let mut runs = Vec::with_capacity(streams.len());
+        let mut clock: Cycle = 0;
         let mut report = ObsReport::new(obs);
-        report.tenants = vec![kernel_name.clone()];
-        report.profile = profiler;
-        if let Some(mut trace) = sm.take_trace() {
-            report.dropped_events += trace.dropped();
-            report.events.extend(trace.take());
+        for (k, stream) in streams.iter().enumerate() {
+            let start = clock.max(stream.arrival_cycle);
+            let solo = KernelStream::new_qos_at(0, Arc::clone(stream.kernel()), 0, stream.qos);
+            let (result, mut run_report) =
+                run_chip(&config, vec![solo], policy, backend, obs, &mut build_unit);
+            run_report.relabel_tenant(0, k as u32);
+            run_report.shift_cycles(start);
+            report.merge(run_report);
+            clock = start + result.cycles;
+            runs.push((start, result));
         }
-        if let Some(sink) = sm.take_port_obs() {
-            if let Some(mut trace) = sink.trace {
-                report.dropped_events += trace.dropped();
-                report.events.extend(trace.take());
-            }
-            for (tenant, hist) in sink.latency.iter().enumerate() {
-                if hist.count() > 0 {
-                    report.metrics.histogram_merge("mem-latency", Some(tenant as u32), hist);
-                }
-            }
+        report.tenants = streams.iter().map(|s| s.info().name.clone()).collect();
+        (merge_serial(runs), report)
+    }
+}
+
+/// Runs `streams` under `policy` on one [`Gpu`] engine of `config.num_sms`
+/// SMs, observed at `obs`.
+fn run_chip<F>(
+    config: &GpuConfig,
+    streams: Vec<KernelStream>,
+    policy: DispatchPolicy,
+    backend: BackendKind,
+    obs: ObsLevel,
+    build_unit: &mut F,
+) -> (SimResult, ObsReport)
+where
+    F: FnMut(usize) -> SmUnit,
+{
+    let units = (0..config.num_sms).map(build_unit).collect();
+    let mut gpu = Gpu::with_streams(config.clone(), streams, policy, units);
+    gpu.set_obs(obs);
+    gpu.run(backend);
+    let report = gpu.take_obs();
+    (gpu.into_result(), report)
+}
+
+/// Chains serially executed per-kernel results into one chip-level result:
+/// each run is shifted to its `start` cycle (the previous run's end, or later
+/// when the kernel's arrival gated it), event counters add, time series are
+/// concatenated with cycle and instruction offsets, and each run's tenant
+/// record is re-labelled with its queue position and shifted by its start.
+fn merge_serial(runs: Vec<(Cycle, SimResult)>) -> SimResult {
+    let num_runs = runs.len();
+    let mut iter = runs.into_iter();
+    let (first_start, mut merged) = iter.next().expect("at least one result");
+    debug_assert_eq!(merged.per_tenant.len(), 1);
+    if first_start > 0 {
+        // The very first kernel arrived late: the whole chip idles first.
+        let mut shifted = TimeSeries::default();
+        shifted.append_offset(&merged.time_series, first_start, 0);
+        merged.time_series = shifted;
+        merged.per_tenant[0].finish_cycle += first_start;
+        merged.cycles += first_start;
+        merged.stats.cycles = merged.cycles;
+        for sm in &mut merged.per_sm {
+            sm.cycles += first_start;
         }
-        let capped = !sm.is_done();
-        let stats = sm.stats().clone();
-        let totals = sm.tenant_stats().first().copied().unwrap_or_default();
-        let mem = sm.partition_tenant_stats().and_then(|t| t.first().copied()).unwrap_or_default();
-        let per_tenant = vec![TenantResult {
-            tenant: 0,
-            kernel: kernel_name.clone(),
-            qos: qos.latency.label().to_string(),
-            instructions: totals.instructions,
-            finish_cycle: totals.finish_cycle,
-            capped: !totals.done,
-            l1d_accesses: totals.l1d_accesses,
-            l1d_hits: totals.l1d_hits,
-            xbar_bytes: totals.xbar_bytes,
-            fabric_request_bytes: 0,
-            fabric_reply_bytes: 0,
-            mem,
-        }];
-        let result = SimResult {
-            schema_version: SCHEMA_VERSION,
-            backend: backend.label().to_string(),
-            scheduler: scheduler_name,
-            kernel: kernel_name,
-            policy: DispatchPolicy::Exclusive.label().to_string(),
-            cycles: sm.cycle(),
-            per_sm: vec![stats.clone()],
-            stats,
-            time_series: sm.time_series().clone(),
-            interference: sm.interference_matrix().clone(),
-            scheduler_metrics: sm.scheduler().metrics(),
-            capped,
-            num_sms: 1,
-            per_tenant,
-            interconnect: Crossbar::aggregate([sm.interconnect()]),
-            fabric: FabricStats::default(),
-            dispatch_log: DispatchLog::default(),
-        };
-        (result, report)
+    }
+    // Re-label the first run's fabric attribution under tenant 0 and fold
+    // each later run's single-tenant fabric traffic in under its queue
+    // position, so per-tenant fabric bytes keep summing to the chip totals.
+    let mut names = vec![merged.kernel.clone()];
+    for (k, (start, r)) in iter.enumerate() {
+        let gap = start - merged.cycles;
+        let inst_offset = merged.stats.instructions;
+        names.push(r.kernel.clone());
+        merged.time_series.append_offset(&r.time_series, start, inst_offset);
+        merged.interference.absorb(&r.interference);
+        merged.scheduler_metrics.merge(&r.scheduler_metrics);
+        merged.interconnect.bytes_transferred += r.interconnect.bytes_transferred;
+        merged.interconnect.queueing_cycles += r.interconnect.queueing_cycles;
+        merge_fabric_serial(&mut merged.fabric, &r.fabric, (k + 1) as TenantId);
+        merged.capped |= r.capped;
+        merge_sm_serial(&mut merged.stats, &r.stats, gap);
+        for (a, b) in merged.per_sm.iter_mut().zip(&r.per_sm) {
+            merge_sm_serial(a, b, gap);
+        }
+        let mut tenant = r.per_tenant.into_iter().next().expect("serial run has one tenant");
+        tenant.tenant = (k + 1) as TenantId;
+        tenant.finish_cycle += start;
+        debug_assert_eq!(tenant.fabric_request_bytes, r.fabric.request.tenant_bytes(0));
+        merged.per_tenant.push(tenant);
+        merged.cycles = start + r.cycles;
+        merged.stats.cycles = merged.cycles;
+    }
+    // merge_sm_serial accumulates utilisation *sums*; divide once so every
+    // run weighs equally in the mean regardless of queue position.
+    merged.stats.redirect_utilization /= num_runs as f64;
+    for sm in &mut merged.per_sm {
+        sm.redirect_utilization /= num_runs as f64;
+    }
+    merged.kernel = names.join("+");
+    merged
+}
+
+/// Serial composition of two SM stat blocks: counters sum (as in
+/// [`SmStats::reduce`]) but cycles *add* (plus any arrival-induced idle gap
+/// between the runs) instead of taking the maximum, because the runs happened
+/// back to back on the same SM.
+/// `redirect_utilization` accumulates as a *sum* — [`merge_serial`] divides
+/// by the run count once at the end, so the mean is equal-weighted.
+fn merge_sm_serial(a: &mut SmStats, b: &SmStats, gap: Cycle) {
+    let cycles = a.cycles + gap + b.cycles;
+    let utilization_sum = a.redirect_utilization + b.redirect_utilization;
+    *a = SmStats::reduce(&[a.clone(), b.clone()]);
+    a.cycles = cycles;
+    a.redirect_utilization = utilization_sum;
+}
+
+/// Folds a serially-executed solo run's crossbar-fabric traffic into the
+/// merged chip result, re-attributing the run's (single, tenant-0) traffic to
+/// queue position `tenant` so per-tenant bytes still sum to the chip totals.
+fn merge_fabric_serial(merged: &mut FabricStats, run: &FabricStats, tenant: TenantId) {
+    merged.bytes_per_cycle = run.bytes_per_cycle.max(merged.bytes_per_cycle);
+    for (into, from) in [(&mut merged.request, &run.request), (&mut merged.reply, &run.reply)] {
+        into.bytes_transferred += from.bytes_transferred;
+        into.queueing_cycles += from.queueing_cycles;
+        let idx = tenant as usize;
+        if into.tenant_bytes.len() <= idx {
+            into.tenant_bytes.resize(idx + 1, 0);
+        }
+        into.tenant_bytes[idx] += from.tenant_bytes.iter().sum::<u64>();
     }
 }
 
@@ -507,9 +523,9 @@ mod tests {
         assert_eq!(a.stats.mem_transactions, b.stats.mem_transactions);
     }
 
-    /// The QoS contract rides along every request path: the latency-class
-    /// label lands in `TenantResult::qos` on both the single-SM route and
-    /// the chip route, and defaults to `batch`.
+    /// The QoS contract rides along every request: the latency-class label
+    /// lands in `TenantResult::qos` on one SM, on a shared chip and through
+    /// the serial `Exclusive` chain, and defaults to `batch`.
     #[test]
     fn qos_labels_reach_tenant_results() {
         let sim = Simulator::new(GpuConfig::gtx480());
@@ -531,6 +547,99 @@ mod tests {
         );
         assert_eq!(res.per_tenant[0].qos, "interactive");
         assert_eq!(res.per_tenant[1].qos, "batch");
+        // The serial `Exclusive` chain keeps each stream's contract too.
+        let sim2 = Simulator::new(GpuConfig::gtx480().with_num_sms(2));
+        let serial = sim2.execute(
+            SimRequest::new().stream(kernel(10)).stream_qos_at(
+                kernel(10),
+                0,
+                QosSpec::interactive(2),
+            ),
+            gto,
+        );
+        let labels: Vec<&str> = serial.per_tenant.iter().map(|t| t.qos.as_str()).collect();
+        assert_eq!(labels, ["batch", "interactive"]);
+    }
+
+    fn load_kernel(name: &str, ctas: usize, ops: usize) -> Arc<dyn Kernel> {
+        let info = KernelInfo {
+            name: name.into(),
+            num_ctas: ctas,
+            warps_per_cta: 2,
+            shared_mem_per_cta: 0,
+        };
+        Arc::new(ClosureKernel::new(info, move |cta, w| {
+            let ops = (0..ops)
+                .map(|i| {
+                    WarpOp::coalesced_load((cta as u64 * 977 + w as u64 * 131 + i as u64) * 128)
+                })
+                .collect();
+            Box::new(VecProgram::new(ops))
+        }))
+    }
+
+    #[test]
+    fn exclusive_queue_chains_serial_runs() {
+        let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(2));
+        let a = load_kernel("a", 2, 8);
+        let b = load_kernel("b", 2, 8);
+        let solo_cycles =
+            |k: &Arc<dyn Kernel>| sim.execute(SimRequest::kernel(Arc::clone(k)), gto).cycles;
+        let (ca, cb) = (solo_cycles(&a), solo_cycles(&b));
+        let res = sim.execute(SimRequest::kernel(a).stream(b), gto);
+        assert_eq!(res.policy, "exclusive");
+        assert_eq!(res.kernel, "a+b");
+        assert_eq!(res.per_tenant.len(), 2);
+        // Serial total: cycles add; tenant 1 queues behind tenant 0.
+        assert_eq!(res.cycles, ca + cb);
+        assert_eq!(res.stats.cycles, res.cycles);
+        assert!(res.per_tenant[0].finish_cycle <= ca);
+        assert!(res.per_tenant[1].finish_cycle > ca);
+        assert_eq!(res.per_tenant[0].tenant, 0);
+        assert_eq!(res.per_tenant[1].tenant, 1);
+        assert_eq!(res.stats.instructions, 2 * (2 * 2 * 8));
+        assert!(!res.capped);
+        // Per-tenant instruction split covers the total exactly.
+        assert_eq!(
+            res.per_tenant.iter().map(|t| t.instructions).sum::<u64>(),
+            res.stats.instructions
+        );
+    }
+
+    #[test]
+    fn single_stream_request_matches_plain_chip_run_under_every_policy() {
+        let config = GpuConfig::gtx480().with_num_sms(2);
+        let reference = {
+            let mut gpu = Gpu::new(config.clone(), load_kernel("k", 4, 10), vec![gto(0), gto(1)]);
+            gpu.run(BackendKind::Event);
+            gpu.into_result()
+        };
+        let sim = Simulator::new(config);
+        for policy in DispatchPolicy::all() {
+            let res = sim.execute(SimRequest::kernel(load_kernel("k", 4, 10)).policy(policy), gto);
+            assert_eq!(res.policy, policy.label());
+            assert_eq!(res.cycles, reference.cycles, "{policy}");
+            assert_eq!(res.stats, reference.stats, "{policy}");
+            assert_eq!(res.per_sm, reference.per_sm, "{policy}");
+            assert_eq!(res.time_series, reference.time_series, "{policy}");
+            assert_eq!(res.per_tenant, reference.per_tenant, "{policy}");
+        }
+    }
+
+    #[test]
+    fn exclusive_serial_queue_is_backend_agnostic() {
+        let sim = Simulator::new(GpuConfig::gtx480().with_num_sms(3));
+        let run = |backend| {
+            let req = SimRequest::kernel(load_kernel("k", 3, 12))
+                .stream_at(load_kernel("k", 3, 12), 5_000)
+                .backend(backend);
+            sim.execute(req, gto)
+        };
+        let epoch = run(BackendKind::Epoch);
+        let mut event = run(BackendKind::Event);
+        assert_eq!(event.backend, "event");
+        event.backend = epoch.backend.clone();
+        assert_eq!(serde_json::to_string(&epoch).unwrap(), serde_json::to_string(&event).unwrap());
     }
 
     #[test]

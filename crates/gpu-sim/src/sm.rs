@@ -19,7 +19,7 @@
 //! can maintain their Victim Tag Arrays without the SM knowing about them.
 //!
 //! Downstream memory is reached through a [`MemoryPort`]: a private L2+DRAM
-//! partition in the legacy single-SM configuration, or a deferred port into
+//! partition on a single-SM chip, or a deferred port into
 //! the chip's pipelined shared backend (reorder window → request fabric →
 //! L2/DRAM banks → reply fabric) when the SM is one of many driven by the
 //! [`crate::gpu::Gpu`] engine — which then advances the SM in epochs via
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::coalescer::coalesce;
 use crate::config::GpuConfig;
-use crate::dispatch::CtaWork;
+use crate::dispatch::{stream_work, CtaWork, KernelStream};
 use crate::gpu::{MemRequest, MemoryPort};
 use crate::kernel::Kernel;
 use crate::redirect::{RedirectCache, RedirectLookup};
@@ -127,7 +127,7 @@ pub struct Sm {
 impl Sm {
     /// Builds an SM executing `kernel` under `scheduler`, with an optional
     /// redirect cache installed on the global-memory datapath. The SM owns a
-    /// private memory partition (the legacy single-SM configuration).
+    /// private memory partition, as on a single-SM chip.
     pub fn new(
         config: GpuConfig,
         kernel: Box<dyn Kernel>,
@@ -137,15 +137,8 @@ impl Sm {
         let interconnect =
             Interconnect::new(config.interconnect_latency, config.interconnect_bytes_per_cycle);
         let port = MemoryPort::private(config.partition.clone());
-        let work = Self::work_of(Arc::from(kernel), 0);
+        let work = stream_work(&KernelStream::new(0, Arc::from(kernel)));
         Self::with_parts(config, work, scheduler, redirect, interconnect, port)
-    }
-
-    /// Expands `kernel`'s whole grid into the work list of one SM running it
-    /// alone, attributed to `tenant` (the single-SM view of
-    /// [`crate::dispatch`]'s per-stream expansion).
-    pub fn work_of(kernel: Arc<dyn Kernel>, tenant: TenantId) -> Vec<CtaWork> {
-        crate::dispatch::stream_work(&crate::dispatch::KernelStream::new(tenant, kernel))
     }
 
     /// Builds an SM from explicit interconnect and memory-port parts — the

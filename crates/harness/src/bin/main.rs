@@ -4,16 +4,18 @@
 //! ```text
 //! ciao-harness <experiment> [--quick|--tiny] [--sms N] [--seed N] [--out DIR]
 //!
-//! experiments: table1 table2 fig1 fig4 fig8 fig9 fig10 fig11 fig12 overhead mix perf all
+//! experiments: table1 table2 fig1 fig4 fig8 fig9 fig10 fig11 fig12 overhead mix capacity
+//!              fleet trace profile perf all
 //! ```
 //!
 //! `--sms N` simulates every run on an N-SM chip (one engine per SM against
-//! a shared banked L2/DRAM); the default of 1 is the legacy
-//! single-SM model all recorded baselines use. `--seed N` replicates every
+//! a shared banked L2/DRAM); the default of 1 gives the single SM a private
+//! memory partition, the configuration the 1-SM baselines use. `--seed N` replicates every
 //! synthetic trace under a different seed (0 = the historical traces).
 //!
-//! `mix` co-runs the named multi-tenant benchmark mixes across the three SM
-//! partitioning policies (exclusive, spatial, shared-rr) × schedulers and
+//! `mix` co-runs the named multi-tenant benchmark mixes across the four
+//! dispatch policies (exclusive, spatial, shared-rr, interference-aware) ×
+//! schedulers and
 //! reports per-tenant IPC, STP, ANTT and L2-contention shares. `--mix NAME`
 //! and `--policy LABEL` narrow the sweep.
 //!

@@ -2,10 +2,10 @@
 //! executes them, optionally in parallel across worker threads.
 //!
 //! The runner exposes the harness's `--sms N` axis: with `sms == 1` (the
-//! default) every run uses the legacy single-SM simulator, which is what all
-//! recorded baselines (including `bench/baseline.json`) were produced with;
-//! with `sms > 1` each run simulates a chip of N SMs against the shared
-//! banked L2/DRAM backend, with one scheduler instance per SM. Each run is
+//! default) every run simulates one SM with a private L2/DRAM partition,
+//! the configuration the 1-SM snapshots in `bench/baseline.json` use; with
+//! `sms > 1` each run simulates a chip of N SMs against the shared banked
+//! L2/DRAM backend, with one scheduler instance per SM. Each run is
 //! single-threaded; matrix runs spread whole runs across worker threads.
 
 use crate::schedulers::SchedulerKind;
@@ -172,9 +172,9 @@ pub struct Runner {
     pub scale: RunScale,
     /// Number of worker threads for matrix runs.
     pub threads: usize,
-    /// Number of SMs each simulation models (the `--sms N` axis). `1` uses
-    /// the legacy single-SM path; `> 1` runs the multi-SM chip engine with a
-    /// shared L2/DRAM backend.
+    /// Number of SMs each simulation models (the `--sms N` axis). `1` gives
+    /// the SM a private L2/DRAM partition; `> 1` shares a banked L2/DRAM
+    /// backend across the SMs.
     pub sms: usize,
     /// Experiment seed mixed into every synthetic trace (the `--seed N`
     /// axis); `0` reproduces the historical single-seed traces bit for bit.
@@ -305,10 +305,8 @@ impl Runner {
         self.scale.workload_scale().with_seed(self.seed)
     }
 
-    /// Runs one (benchmark, scheduler) pair and returns the full result:
-    /// the legacy single-SM simulation when `sms == 1`, a multi-SM chip
-    /// simulation (one scheduler instance per SM, shared banked L2/DRAM)
-    /// otherwise.
+    /// Runs one (benchmark, scheduler) pair on a chip of `sms` SMs (one
+    /// scheduler instance per SM) and returns the full result.
     pub fn run_one(&self, benchmark: Benchmark, scheduler: SchedulerKind) -> SimResult {
         self.run_one_observed(benchmark, scheduler).0
     }
