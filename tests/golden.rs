@@ -10,7 +10,11 @@
 //! The cases cover the Tiny/1-SM Fig. 8 matrix (21 benchmarks × 7
 //! schedulers), the Tiny/15-SM co-runs (5 mixes × 4 dispatch policies under
 //! GTO), interference-aware and exclusive co-runs with staggered arrivals,
-//! and an `Exclusive` serial queue whose second kernel arrives mid-run.
+//! an `Exclusive` serial queue whose second kernel arrives mid-run, and the
+//! four Quick/1-SM runs that stall under throttling (Best-SWL on KMN, Kmeans
+//! and II, CIAO-T on II) with the cycle cap cut to 300 000. Tiny scale never
+//! reaches such a stall, so only these cases pin the event mode's closed-form
+//! skip over cycles on which every ready warp is throttled.
 //!
 //! After an intended change of the model, regenerate the file with
 //!
@@ -25,7 +29,7 @@ use std::sync::Arc;
 use ciao_harness::runner::{RunScale, Runner};
 use ciao_harness::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, Mix};
-use gpu_sim::{BackendKind, DispatchPolicy, Kernel, SimRequest, SimResult, Simulator};
+use gpu_sim::{BackendKind, DispatchPolicy, GpuConfig, Kernel, SimRequest, SimResult, Simulator};
 
 /// One golden case: its stable name and how to run it under a backend.
 type Case = (String, Box<dyn Fn(BackendKind) -> SimResult>);
@@ -121,6 +125,33 @@ fn chip_cases() -> Vec<Case> {
     cases
 }
 
+/// The Quick/1-SM runs that end in a throttle stall, capped at 300 000
+/// cycles: every ready warp is held back by the scheduler for almost the
+/// whole run.
+fn stall_cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = Vec::new();
+    for (bench, sched) in [
+        (Benchmark::Kmn, SchedulerKind::BestSwl),
+        (Benchmark::Kmeans, SchedulerKind::BestSwl),
+        (Benchmark::Ii, SchedulerKind::BestSwl),
+        (Benchmark::Ii, SchedulerKind::CiaoT),
+    ] {
+        let name = format!("quick-sm1-cap300k/{}/{}", bench.name(), sched.label());
+        cases.push((
+            name,
+            Box::new(move |b| {
+                let mut config = GpuConfig::gtx480();
+                config.max_cycles = Some(300_000);
+                Runner::new(RunScale::Quick)
+                    .with_config(config)
+                    .with_backend(b)
+                    .run_one(bench, sched)
+            }),
+        ));
+    }
+    cases
+}
+
 fn load_golden() -> BTreeMap<String, String> {
     let text = std::fs::read_to_string(golden_path()).expect("golden digest file is committed");
     text.lines()
@@ -158,13 +189,18 @@ fn chip_co_runs_match_golden_digests_under_both_backends() {
     check(chip_cases());
 }
 
+#[test]
+fn throttle_stalls_match_golden_digests_under_both_backends() {
+    check(stall_cases());
+}
+
 /// Rewrites `tests/golden/sim_digests.txt` from the reference timing mode.
 #[test]
 #[ignore = "rewrites the committed golden digests"]
 fn regenerate_golden_digests() {
     let mut out =
         String::from("# FNV-1a digests of backend-blind SimResult JSON; see tests/golden.rs.\n");
-    for (name, run) in single_sm_cases().into_iter().chain(chip_cases()) {
+    for (name, run) in single_sm_cases().into_iter().chain(chip_cases()).chain(stall_cases()) {
         out.push_str(&format!("{name} {}\n", digest(run(BackendKind::Epoch))));
     }
     let path = golden_path();
