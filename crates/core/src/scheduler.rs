@@ -117,6 +117,13 @@ pub struct CiaoScheduler {
     next_high_check: u64,
     next_low_check: u64,
     num_warps: usize,
+    /// Set when the last empty-ready low-cutoff evaluation released
+    /// nothing. Its arguments (instruction count, active warps, detector
+    /// state) only move through the clearing hooks — a non-empty `pick`,
+    /// `on_issue`, `on_cache_event`, `on_warp_launched`, `on_warp_finished`
+    /// — so while it holds, further empty-ready picks release nothing either
+    /// and the stall set is frozen.
+    idle_settled: bool,
     /// Diagnostics: how many isolation / stall / reactivation decisions fired.
     decisions: CiaoDecisionCounters,
 }
@@ -149,6 +156,7 @@ impl CiaoScheduler {
             next_high_check: params.high_epoch,
             next_low_check: params.low_epoch,
             num_warps,
+            idle_settled: false,
             decisions: CiaoDecisionCounters::default(),
         }
     }
@@ -208,8 +216,10 @@ impl CiaoScheduler {
 
     /// End-of-low-epoch evaluation (Algorithm 1, lines 4–19): reactivate
     /// stalled warps (in reverse stall order) and un-redirect isolated warps
-    /// whose triggering interfered warp has calmed down or finished.
-    fn low_epoch_check(&mut self, instructions: u64, active_warps: usize) {
+    /// whose triggering interfered warp has calmed down or finished. Returns
+    /// whether any warp was released.
+    fn low_epoch_check(&mut self, instructions: u64, active_warps: usize) -> bool {
+        let mut released = false;
         // Stalled warps: reverse order of stalling to keep TLP high.
         if let Some(&candidate) = self.stall_stack.last() {
             let release = match self.detector.pair_list().get(candidate, PairRole::Stall) {
@@ -226,6 +236,7 @@ impl CiaoScheduler {
                 self.flags[candidate as usize].stalled = false;
                 self.detector.pair_list_mut().clear(candidate, PairRole::Stall);
                 self.decisions.reactivations += 1;
+                released = true;
             }
         }
         // Isolated warps: route back to the L1D when their trigger calmed down.
@@ -246,8 +257,10 @@ impl CiaoScheduler {
                 self.flags[w as usize].isolated = false;
                 self.detector.pair_list_mut().clear(w, PairRole::Redirect);
                 self.decisions.deisolations += 1;
+                released = true;
             }
         }
+        released
     }
 }
 
@@ -262,9 +275,11 @@ impl WarpScheduler for CiaoScheduler {
         // the rest wait on memory) the low-cutoff evaluation still runs, so
         // stalled warps are reactivated even though no instructions retire.
         self.instructions_seen = ctx.instructions_executed;
+        self.idle_settled = false;
         if ctx.instructions_executed >= self.next_low_check || ctx.ready.is_empty() {
             self.next_low_check = ctx.instructions_executed + self.params.low_epoch;
-            self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
+            let released = self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
+            self.idle_settled = ctx.ready.is_empty() && !released;
         }
 
         // GTO: greedy on the last issued warp, else oldest.
@@ -289,21 +304,31 @@ impl WarpScheduler for CiaoScheduler {
         // Every empty-ready `pick` runs the low-cutoff evaluation with the
         // same (instructions, active_warps) arguments — no instructions
         // retire while nothing is ready — so iterating it reaches a fixed
-        // point: each call either releases a stalled/isolated warp (bumping a
-        // decision counter) or changes nothing. Replaying until the state
-        // stops changing (capped at `skipped`) is therefore exact.
+        // point: each call either releases a stalled/isolated warp or changes
+        // nothing. Replaying until the state stops changing (capped at
+        // `skipped`) is therefore exact.
         self.instructions_seen = ctx.instructions_executed;
         for _ in 0..skipped {
             self.next_low_check = ctx.instructions_executed + self.params.low_epoch;
-            let before = (self.stall_stack.len(), self.decisions);
-            self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
-            if (self.stall_stack.len(), self.decisions) == before {
+            let released = self.low_epoch_check(ctx.instructions_executed, ctx.active_warps.max(1));
+            self.idle_settled = !released;
+            if self.idle_settled {
                 break;
             }
         }
     }
 
+    fn throttle_set_frozen(&self) -> bool {
+        self.idle_settled
+    }
+
+    fn on_issue(&mut self, _wid: WarpId, _is_mem: bool, _now: Cycle) {
+        // The SM-wide instruction count the low-cutoff check reads moved.
+        self.idle_settled = false;
+    }
+
     fn on_cache_event(&mut self, ev: &CacheEvent) {
+        self.idle_settled = false;
         // Both the L1D and the shared-memory cache share the same VTA (§III-C).
         if let CacheEventOutcome::Miss = ev.outcome {
             let _ = self.detector.on_miss(ev.wid, ev.block_addr);
@@ -316,6 +341,7 @@ impl WarpScheduler for CiaoScheduler {
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         // Warp slots are reused across CTA waves: the new occupant starts
         // active (V=1), not isolated (I=0) and with clean pair-list records.
+        self.idle_settled = false;
         if let Some(f) = self.flags.get_mut(wid as usize) {
             *f = WarpFlags::default();
         }
@@ -325,6 +351,7 @@ impl WarpScheduler for CiaoScheduler {
     }
 
     fn on_warp_finished(&mut self, wid: WarpId, _now: Cycle) {
+        self.idle_settled = false;
         if let Some(f) = self.flags.get_mut(wid as usize) {
             f.finished = true;
             f.stalled = false;
@@ -553,6 +580,51 @@ mod tests {
         assert!(s.is_throttled(1), "reverse order: warp 1 is released on a later epoch");
         s.pick(&ctx(&w, &[0, 2, 3, 4, 5], 100_200));
         assert!(!s.is_throttled(1));
+    }
+
+    #[test]
+    fn stall_set_is_frozen_only_after_an_empty_pick_that_released_nothing() {
+        let mut s = CiaoScheduler::new(CiaoVariant::ThrottleOnly, params_fast(), 4);
+        let w = warps(4);
+        assert!(!s.throttle_set_frozen());
+        for k in 0..20 {
+            inject_interference(&mut s, 0, 1, k * 128);
+        }
+        s.pick(&ctx(&w, &[0, 1, 2, 3], 100));
+        assert!(s.is_throttled(1));
+        assert!(!s.throttle_set_frozen(), "a non-empty pick never settles");
+        // Warp 0 is still interfered with: the empty pick releases nothing.
+        s.pick(&ctx(&w, &[], 100));
+        assert!(s.is_throttled(1));
+        assert!(s.throttle_set_frozen());
+
+        // Every hook that can move the low-cutoff check's inputs clears it.
+        let settle = |s: &mut CiaoScheduler| {
+            s.pick(&ctx(&w, &[], 100));
+            assert!(s.throttle_set_frozen());
+        };
+        s.on_issue(2, false, 0);
+        assert!(!s.throttle_set_frozen(), "on_issue clears");
+        settle(&mut s);
+        inject_interference(&mut s, 0, 1, 0x4000);
+        assert!(!s.throttle_set_frozen(), "on_cache_event clears");
+        settle(&mut s);
+        s.on_warp_launched(3, 0);
+        assert!(!s.throttle_set_frozen(), "on_warp_launched clears");
+        settle(&mut s);
+        s.on_warp_finished(2, 0);
+        assert!(!s.throttle_set_frozen(), "on_warp_finished clears");
+        s.on_idle_cycles(&ctx(&w, &[], 100), 5);
+        assert!(s.throttle_set_frozen(), "an idle replay that released nothing settles");
+        s.pick(&ctx(&w, &[0, 2, 3], 100));
+        assert!(!s.throttle_set_frozen(), "a non-empty pick clears");
+
+        // An empty pick that releases a warp is not settled; the next one is.
+        s.pick(&ctx(&w, &[], 20_000));
+        assert!(!s.is_throttled(1));
+        assert!(!s.throttle_set_frozen());
+        s.pick(&ctx(&w, &[], 20_000));
+        assert!(s.throttle_set_frozen());
     }
 
     #[test]

@@ -522,6 +522,11 @@ impl Gpu {
         // `engine/` prefix keeps them out of the canonical backend-invariant
         // metrics export (full export only).
         report.metrics.counter_add("engine/skipped-boundaries", None, self.skipped_boundaries);
+        report.metrics.counter_add(
+            "engine/throttle-skipped-cycles",
+            None,
+            self.sms.iter().map(Sm::throttle_skipped_cycles).sum(),
+        );
         report.metrics.counter_add("engine/sleeps", None, self.sleeps);
         self.dispatch_obs(&mut report);
         report

@@ -126,9 +126,11 @@ pub trait WarpScheduler: Send {
     fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize>;
 
     /// Notifies the scheduler that the SM skipped `skipped` consecutive
-    /// cycles on which *no* warp was ready (the event-driven backend's
-    /// idle-cycle fast-forward). `ctx` is the context of the *last* skipped
-    /// cycle, with `ctx.ready` empty.
+    /// cycles on which it offered the scheduler *no* ready warp — either no
+    /// warp was ready, or every ready warp was held back by this scheduler's
+    /// own throttle set while [`WarpScheduler::throttle_set_frozen`] held
+    /// (the event-driven backend's idle-cycle fast-forward). `ctx` is the
+    /// context of the *last* skipped cycle, with `ctx.ready` empty.
     ///
     /// Contract: after this call the scheduler must be in exactly the state
     /// it would hold after `skipped` consecutive [`WarpScheduler::pick`]
@@ -137,6 +139,20 @@ pub trait WarpScheduler: Send {
     /// on empty picks (CCWS score decay, CIAO low-epoch checks, dirty-flag
     /// recomputes) must override it.
     fn on_idle_cycles(&mut self, _ctx: &SchedulerCtx<'_>, _skipped: u64) {}
+
+    /// True when the throttle set cannot change while nothing issues: any
+    /// number of further empty-ready [`WarpScheduler::pick`] calls leave
+    /// [`WarpScheduler::is_throttled`] unchanged for every warp and change
+    /// no other state beyond what [`WarpScheduler::on_idle_cycles`] already
+    /// replays. The SM then skips stretches on which every ready warp is
+    /// throttle-blocked in closed form instead of stepping them.
+    ///
+    /// The default `false` is always safe (such stretches are stepped);
+    /// policies whose gate drifts with time, such as a DRAM-utilisation
+    /// threshold, must keep it.
+    fn throttle_set_frozen(&self) -> bool {
+        false
+    }
 
     /// Notifies the scheduler that warp `wid` issued an operation.
     fn on_issue(&mut self, _wid: WarpId, _is_mem: bool, _now: Cycle) {}
@@ -326,5 +342,16 @@ mod tests {
         assert_eq!(s.route(0), MemRoute::L1d);
         assert!(!s.is_throttled(0));
         assert_eq!(s.metrics(), SchedulerMetrics::default());
+    }
+
+    #[test]
+    fn baselines_never_report_a_frozen_throttle_set() {
+        let warps = make_warps(2);
+        let mut gto = GtoScheduler::new();
+        let mut lrr = LrrScheduler::new();
+        assert!(!gto.throttle_set_frozen() && !lrr.throttle_set_frozen());
+        gto.pick(&ctx(&warps, &[]));
+        lrr.pick(&ctx(&warps, &[]));
+        assert!(!gto.throttle_set_frozen() && !lrr.throttle_set_frozen());
     }
 }

@@ -122,6 +122,20 @@ pub struct Sm {
     trace_unit: u32,
     /// Start of the current contiguous issuing stretch, if one is open.
     busy_since: Option<Cycle>,
+    /// Cycles skipped in closed form while at least one ready warp was
+    /// throttle-blocked (engine mechanics: always 0 when every cycle is
+    /// stepped, so it stays out of [`SmStats`]).
+    throttle_skipped_cycles: u64,
+}
+
+/// True when the scheduler's throttle set holds back warp `wid`, whose next
+/// operation is `op`. Barriers are never gated: stalling a warp its CTA is
+/// waiting for at a barrier would deadlock the CTA (real schedulers are
+/// barrier-aware for the same reason).
+fn throttle_blocks(scheduler: &dyn WarpScheduler, wid: WarpId, op: &WarpOp) -> bool {
+    !matches!(op, WarpOp::Barrier)
+        && scheduler.is_throttled(wid)
+        && (op.is_global_mem() || !scheduler.throttles_loads_only())
 }
 
 impl Sm {
@@ -188,6 +202,7 @@ impl Sm {
             trace: None,
             trace_unit: 0,
             busy_since: None,
+            throttle_skipped_cycles: 0,
         };
         sm.launch_ctas();
         sm.update_redirect_capacity();
@@ -243,6 +258,12 @@ impl Sm {
     /// The inter-warp interference matrix collected so far.
     pub fn interference_matrix(&self) -> &InterferenceMatrix {
         &self.interference
+    }
+
+    /// Cycles [`Sm::advance`] skipped in closed form while at least one
+    /// ready warp was throttle-blocked. Always 0 when every cycle is stepped.
+    pub fn throttle_skipped_cycles(&self) -> u64 {
+        self.throttle_skipped_cycles
     }
 
     /// The installed scheduler (for metrics queries).
@@ -319,9 +340,10 @@ impl Sm {
 
     /// Advances the SM to (at most) cycle `until`, stopping early when its
     /// work finishes or a cap is hit. With `skip_idle` the SM fast-forwards
-    /// over provably idle stretches (all warps stalled, no response due) in
-    /// closed form; without it every cycle is stepped. Both produce
-    /// bit-identical state and statistics. Does not finalise statistics.
+    /// over provably idle stretches (every warp stalled or held back by a
+    /// frozen throttle set, no response due) in closed form; without it
+    /// every cycle is stepped. Both produce bit-identical state and
+    /// statistics. Does not finalise statistics.
     pub fn advance(&mut self, until: Cycle, skip_idle: bool) {
         while self.cycle < until && self.is_live() {
             let skip_to = if skip_idle { self.idle_skip_target(until) } else { None };
@@ -334,9 +356,11 @@ impl Sm {
 
     /// The SM's next-event time: the cycle at which something observable can
     /// happen (a warp wakeup or a pending memory response), or `None` when
-    /// the current cycle cannot be skipped (ready warps, due responses,
-    /// pending CTA retires/launches or releasable barriers). Used by the
-    /// event-driven engine to order SM advancement.
+    /// the current cycle cannot be skipped (a ready warp the scheduler may
+    /// issue, due responses, pending CTA retires/launches or releasable
+    /// barriers). Ready warps held back by a frozen throttle set do not
+    /// count as events. Used by the event-driven engine to order SM
+    /// advancement.
     pub fn next_event_time(&self) -> Option<Cycle> {
         self.idle_skip_target(Cycle::MAX)
     }
@@ -348,8 +372,12 @@ impl Sm {
     ///
     /// A cycle is skippable only when *all* of the following hold — each
     /// condition guards one phase of [`Sm::step`]:
-    /// 1. no unfinished warp is ready (issue, warp-finish detection and
-    ///    throttle accounting are all no-ops),
+    /// 1. every ready, unfinished warp is throttle-blocked on an operation it
+    ///    already fetched, and the scheduler reports its throttle set frozen
+    ///    ([`WarpScheduler::throttle_set_frozen`]) — vacuous when no warp is
+    ///    ready. Issue and warp-finish detection are then no-ops, the
+    ///    scheduler sees only empty-ready picks, and throttle accounting
+    ///    grows by one cycle per blocked warp, which the skip adds in bulk,
     /// 2. no pending memory response is due,
     /// 3. no resident CTA has every warp finished (retire + launch pending),
     /// 4. no CTA barrier is releasable,
@@ -364,9 +392,21 @@ impl Sm {
         {
             return None;
         }
+        // Asked once, at the first ready warp and before any `is_throttled`
+        // call, so a scheduler that never freezes pays one cheap call.
+        let mut frozen = None;
         for w in &self.warps {
-            if !w.is_finished() && w.is_ready(now) {
+            if w.is_finished() || !w.is_ready(now) {
+                continue;
+            }
+            if !*frozen.get_or_insert_with(|| self.scheduler.throttle_set_frozen()) {
                 return None;
+            }
+            // Only an already-fetched op can be tested: fetching one here
+            // would advance the program (and may reveal its end).
+            match w.pending() {
+                Some(op) if throttle_blocks(self.scheduler.as_ref(), w.id, op) => {}
+                _ => return None,
             }
         }
         if let Some(&Reverse((when, _))) = self.pending.peek() {
@@ -390,8 +430,9 @@ impl Sm {
             }
         }
         // Jump to the earliest wakeup: the next due response or the earliest
-        // `Executing` expiry, clamped to the epoch boundary and the cycle
-        // cap. Conditions 1–2 guarantee every candidate is `> now`.
+        // future `Executing` expiry, clamped to the epoch boundary and the
+        // cycle cap. An expiry at or before `now` belongs to a ready,
+        // throttle-blocked warp and wakes nothing.
         let mut target = until;
         if let Some(&Reverse((when, _))) = self.pending.peek() {
             target = target.min(when);
@@ -401,7 +442,9 @@ impl Sm {
                 continue;
             }
             if let WarpState::Executing { until: t } = w.state {
-                target = target.min(t);
+                if t > now {
+                    target = target.min(t);
+                }
             }
         }
         if let Some(m) = self.config.max_cycles {
@@ -412,11 +455,14 @@ impl Sm {
 
     /// Fast-forwards the SM from `cycle` to `target`, accounting the skipped
     /// stretch exactly as `target - cycle` consecutive idle [`Sm::step`]s
-    /// would: `idle_cycles` grows by the stretch length and the scheduler
+    /// would: `idle_cycles` grows by the stretch length, every ready
+    /// (hence throttle-blocked) warp's `throttled_cycles` and, if there is
+    /// one, `throttle_only_cycles` grow by it too, and the scheduler
     /// observes the equivalent of that many empty-ready picks (see
     /// [`WarpScheduler::on_idle_cycles`]).
     fn skip_idle_to(&mut self, target: Cycle) {
-        let skipped = target - self.cycle;
+        let now = self.cycle;
+        let skipped = target - now;
         // A skippable stretch is idle by definition, so the busy span (if
         // open) ends where the stretch starts — exactly where the stepped
         // path would have closed it. The skip itself is engine mechanics:
@@ -429,13 +475,26 @@ impl Sm {
             );
         }
         self.stats.idle_cycles += skipped;
+        let mut active_warps = 0;
+        let mut throttle_blocked = false;
+        for w in self.warps.iter_mut().filter(|w| !w.is_finished()) {
+            active_warps += 1;
+            if w.is_ready(now) {
+                w.throttled_cycles += skipped;
+                throttle_blocked = true;
+            }
+        }
+        if throttle_blocked {
+            self.stats.throttle_only_cycles += skipped;
+            self.throttle_skipped_cycles += skipped;
+        }
         let last = target - 1;
         let ctx = SchedulerCtx {
             now: last,
             warps: &self.warps,
             ready: &[],
             instructions_executed: self.stats.instructions,
-            active_warps: self.warps.iter().filter(|w| !w.is_finished()).count(),
+            active_warps,
             dram_utilization: self.port.dram_utilization(last.max(1)),
         };
         self.scheduler.on_idle_cycles(&ctx, skipped);
@@ -500,22 +559,16 @@ impl Sm {
             if self.warps[i].is_finished() || !self.warps[i].is_ready(now) {
                 continue;
             }
-            let (next_is_global_mem, next_is_barrier) = match self.warps[i].peek_op() {
+            let wid = self.warps[i].id;
+            let blocked = match self.warps[i].peek_op() {
                 None => {
                     finished_now.push(i);
                     continue;
                 }
-                Some(op) => (op.is_global_mem(), matches!(op, WarpOp::Barrier)),
+                Some(op) => throttle_blocks(self.scheduler.as_ref(), wid, op),
             };
             any_ready_ignoring_throttle = true;
-            let wid = self.warps[i].id;
-            // Barrier instructions are never gated by throttling: stalling a
-            // warp that its CTA is waiting for at a barrier would deadlock
-            // the CTA (real schedulers are barrier-aware for the same reason).
-            if !next_is_barrier
-                && self.scheduler.is_throttled(wid)
-                && (next_is_global_mem || !self.scheduler.throttles_loads_only())
-            {
+            if blocked {
                 self.warps[i].throttled_cycles += 1;
                 continue;
             }
@@ -1433,6 +1486,70 @@ mod tests {
             "the event backend records engine-category skips"
         );
         assert!(stepped.iter().all(|e| e.name != "idle-skip"));
+    }
+
+    /// Best-SWL's static limit in miniature: only the first `limit` warp
+    /// slots may issue, and the admitted set never changes.
+    struct StaticLimit {
+        limit: usize,
+    }
+
+    impl WarpScheduler for StaticLimit {
+        fn name(&self) -> &'static str {
+            "static-limit"
+        }
+
+        fn pick(&mut self, ctx: &SchedulerCtx<'_>) -> Option<usize> {
+            ctx.ready.iter().copied().min_by_key(|&i| ctx.warps[i].launch_seq)
+        }
+
+        fn is_throttled(&self, wid: WarpId) -> bool {
+            wid as usize >= self.limit
+        }
+
+        fn throttle_set_frozen(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn throttle_stall_is_skipped_in_closed_form_with_identical_accounting() {
+        // Eight warps per CTA under a limit of two: the admitted warps reach
+        // the barrier, the other six stay throttled on the load they already
+        // fetched, and the CTA deadlocks until the cycle cap.
+        let info =
+            KernelInfo { name: "bar".into(), num_ctas: 1, warps_per_cta: 8, shared_mem_per_cta: 0 };
+        let run = |skip: bool| {
+            let kernel = ClosureKernel::new(info.clone(), |_cta, w| {
+                let ops = vec![
+                    WarpOp::coalesced_load(0x1000 * (w as u64 + 1)),
+                    WarpOp::alu(),
+                    WarpOp::Barrier,
+                    WarpOp::alu(),
+                ];
+                Box::new(VecProgram::new(ops))
+            });
+            let mut cfg = small_config();
+            cfg.max_cycles = Some(200_000);
+            let mut sm = Sm::new(cfg, Box::new(kernel), Box::new(StaticLimit { limit: 2 }), None);
+            sm.set_trace(0);
+            run_to_end(&mut sm, skip);
+            let throttled: Vec<u64> = sm.warps.iter().map(|w| w.throttled_cycles).collect();
+            let events = sm.take_trace().expect("tracing on").take();
+            let skipped: u64 = events.iter().filter(|e| e.name == "idle-skip").map(|e| e.dur).sum();
+            (sm.stats().clone(), throttled, skipped, sm.throttle_skipped_cycles())
+        };
+        let (stepped, stepped_throttled, stepped_skip, stepped_counter) = run(false);
+        let (event, event_throttled, event_skip, event_counter) = run(true);
+        assert_eq!(stepped.cycles, 200_000, "the CTA deadlocks until the cap");
+        assert_eq!(stepped.instructions, 2 * 3);
+        assert_eq!(stepped, event);
+        assert_eq!(stepped_throttled, event_throttled);
+        assert!(event_throttled[2..].iter().all(|&t| t > 190_000));
+        assert!(stepped.throttle_only_cycles > 190_000);
+        assert_eq!((stepped_skip, stepped_counter), (0, 0));
+        assert!(event_skip * 100 >= event.cycles * 99, "skipped {event_skip} of {}", event.cycles);
+        assert!(event_counter * 100 >= event.cycles * 99);
     }
 
     #[test]

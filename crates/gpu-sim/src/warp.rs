@@ -116,6 +116,13 @@ impl Warp {
         self.pending_op.as_ref()
     }
 
+    /// The operation already fetched from the program but not yet issued,
+    /// if any. Unlike [`Warp::peek_op`] this never advances the program, so
+    /// a `None` says nothing about whether the program is exhausted.
+    pub fn pending(&self) -> Option<&WarpOp> {
+        self.pending_op.as_ref()
+    }
+
     /// Consumes the pending operation after it has been successfully issued.
     pub fn take_op(&mut self) -> Option<WarpOp> {
         self.pending_op.take()
@@ -192,7 +199,11 @@ mod tests {
         assert!(matches!(w.peek_op(), Some(WarpOp::Compute { .. })));
         // Peeking twice returns the same op without consuming.
         assert!(matches!(w.peek_op(), Some(WarpOp::Compute { .. })));
+        assert!(matches!(w.pending(), Some(WarpOp::Compute { .. })));
         assert!(matches!(w.take_op(), Some(WarpOp::Compute { .. })));
+        // Nothing fetched: `pending` reports it without touching the program.
+        assert!(w.pending().is_none());
+        assert!(w.pending().is_none());
         assert!(matches!(w.peek_op(), Some(WarpOp::Barrier)));
         w.take_op();
         assert!(w.peek_op().is_none());

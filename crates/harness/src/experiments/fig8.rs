@@ -5,7 +5,7 @@
 //! * **8b** — shared-memory utilisation ratio of the CIAO-P redirect cache,
 //!   aggregated per class.
 
-use crate::report::{capped_marker, capped_summary, geometric_mean, Table};
+use crate::report::{capped_marker, capped_summary, geometric_mean, stalled_summary, Table};
 use crate::runner::{normalize_to, RunRecord, Runner};
 use crate::schedulers::SchedulerKind;
 use ciao_workloads::{Benchmark, BenchmarkClass};
@@ -25,12 +25,23 @@ pub struct Fig8Result {
     pub overall_geomeans: BTreeMap<String, f64>,
     /// Shared-memory cache utilisation per class under CIAO-P (Fig. 8b).
     pub shmem_utilization: BTreeMap<String, f64>,
+    /// Runs (`benchmark/scheduler`) that ended at the cycle cap short of
+    /// the instruction cap: diagnosed stalls, not budget-limited runs.
+    pub stalled: Vec<String>,
 }
 
 /// Runs the Fig. 8 experiment over `benchmarks` and `schedulers`.
 pub fn run(runner: &Runner, benchmarks: &[Benchmark], schedulers: &[SchedulerKind]) -> Fig8Result {
     let records = runner.run_matrix(benchmarks, schedulers);
-    summarize(records, benchmarks)
+    let max_instructions = runner.effective_config().max_instructions;
+    let mut result = summarize(records, benchmarks);
+    result.stalled = result
+        .records
+        .iter()
+        .filter(|r| r.capped && max_instructions.is_none_or(|m| r.instructions < m))
+        .map(|r| format!("{}/{}", r.benchmark, r.scheduler))
+        .collect();
+    result
 }
 
 /// Aggregates pre-computed records into the Fig. 8 summary (kept separate so
@@ -92,7 +103,14 @@ pub fn summarize(records: Vec<RunRecord>, benchmarks: &[Benchmark]) -> Fig8Resul
         }
     }
 
-    Fig8Result { records, normalized, class_geomeans, overall_geomeans, shmem_utilization }
+    Fig8Result {
+        records,
+        normalized,
+        class_geomeans,
+        overall_geomeans,
+        shmem_utilization,
+        stalled: Vec::new(),
+    }
 }
 
 /// Renders both panels.
@@ -139,6 +157,7 @@ pub fn render(result: &Fig8Result) -> String {
     out.push_str(&t.render());
     let capped_runs = result.records.iter().filter(|r| r.capped).count();
     out.push_str(&capped_summary(capped_runs, result.records.len()));
+    out.push_str(&stalled_summary(&result.stalled, result.records.len()));
     out.push('\n');
 
     let mut u =
@@ -174,5 +193,21 @@ mod tests {
         assert!(text.contains("Fig. 8a"));
         assert!(text.contains("geomean ALL"));
         assert!(text.contains("Fig. 8b"));
+        assert!(result.stalled.is_empty(), "Tiny runs never stall");
+        assert!(!text.contains("stalled"));
+    }
+
+    #[test]
+    fn names_cycle_cap_stalls() {
+        // KMN deadlocks under Best-SWL: its barrier CTAs are wider than the
+        // warp limit, so the admitted warps wait for warps never admitted.
+        let mut config = gpu_sim::GpuConfig::gtx480();
+        config.max_cycles = Some(300_000);
+        let runner = Runner::new(RunScale::Quick).with_config(config);
+        let result = run(&runner, &[Benchmark::Kmn], &[SchedulerKind::BestSwl]);
+        assert_eq!(result.stalled, vec!["KMN/Best-SWL".to_string()]);
+        let text = render(&result);
+        assert!(text
+            .contains("1/1 stalled at the cycle cap short of the instruction cap: KMN/Best-SWL\n"));
     }
 }

@@ -174,6 +174,21 @@ pub fn capped_summary(capped_runs: usize, total_runs: usize) -> String {
     }
 }
 
+/// One-line list of the runs that *stalled* — ended at the cycle cap short
+/// of the instruction cap, i.e. stopped making progress rather than ran out
+/// of budget (`runs` as `benchmark/scheduler`). Empty when none did.
+pub fn stalled_summary(runs: &[String], total_runs: usize) -> String {
+    if runs.is_empty() {
+        String::new()
+    } else {
+        format!(
+            "{}/{total_runs} stalled at the cycle cap short of the instruction cap: {}\n",
+            runs.len(),
+            runs.join(", ")
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +267,10 @@ mod tests {
         let s = capped_summary(3, 10);
         assert!(s.contains("3/10"));
         assert!(s.contains("cap"));
+        assert_eq!(stalled_summary(&[], 10), "");
+        let s = stalled_summary(&["KMN/Best-SWL".into(), "II/CIAO-T".into()], 147);
+        assert!(s.starts_with("2/147 stalled"));
+        assert!(s.ends_with(": KMN/Best-SWL, II/CIAO-T\n"));
     }
 
     #[test]

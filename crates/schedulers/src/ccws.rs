@@ -169,6 +169,14 @@ impl WarpScheduler for CcwsScheduler {
         }
     }
 
+    fn throttle_set_frozen(&self) -> bool {
+        // An empty-ready `pick` decays above-floor scores (and a decay
+        // recomputes the throttle set); with every score at the floor and
+        // no recompute pending it changes nothing.
+        let floor = self.config.base_score;
+        !self.dirty && self.scores.iter().all(|&s| s <= floor)
+    }
+
     fn on_issue(&mut self, wid: WarpId, _is_mem: bool, _now: Cycle) {
         if let Some(score) = self.scores.get_mut(wid as usize) {
             let floor = self.config.base_score;
@@ -346,6 +354,35 @@ mod tests {
         s.pick(&ctx(&w, &[0, 1]));
         assert!(!s.is_throttled(1), "throttling should lift once locality pressure decays");
         assert_eq!(s.score_of(0), 10);
+    }
+
+    #[test]
+    fn throttle_set_is_frozen_only_with_clean_floor_scores() {
+        let cfg =
+            CcwsConfig { num_warps: 2, base_score: 10, vta_hit_bonus: 3, ..CcwsConfig::default() };
+        let mut s = CcwsScheduler::new(cfg);
+        let w = warps(2);
+        assert!(!s.throttle_set_frozen(), "dirty until the first recompute");
+        s.pick(&ctx(&w, &[]));
+        assert!(s.throttle_set_frozen());
+        // A VTA hit lifts warp 0 above the floor: not frozen while it decays.
+        s.on_cache_event(&eviction_event(1, 0, 0x100));
+        s.on_cache_event(&miss_event(0, 0x8100));
+        assert_eq!(s.score_of(0), 13);
+        for _ in 0..2 {
+            s.pick(&ctx(&w, &[]));
+            assert!(!s.throttle_set_frozen(), "score {} above the floor", s.score_of(0));
+        }
+        // The third empty-ready pick decays it back to the floor.
+        s.pick(&ctx(&w, &[]));
+        assert_eq!(s.score_of(0), 10);
+        assert!(s.throttle_set_frozen());
+        // A finished warp's score drops to 0, below the floor; the finish
+        // itself leaves a recompute pending.
+        s.on_warp_finished(1, 0);
+        assert!(!s.throttle_set_frozen());
+        s.on_idle_cycles(&ctx(&w, &[]), 5);
+        assert!(s.throttle_set_frozen());
     }
 
     #[test]

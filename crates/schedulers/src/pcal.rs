@@ -267,6 +267,22 @@ mod tests {
     }
 
     #[test]
+    fn throttle_set_is_never_frozen() {
+        // The gate reads DRAM utilisation, which drifts with time even while
+        // nothing issues, so throttle-blocked stretches are always stepped.
+        let mut s = PcalScheduler::new(PcalConfig {
+            tokens: 1,
+            bypass_bandwidth_threshold: 0.5,
+            num_warps: 4,
+        });
+        let w = warps(4);
+        assert!(!s.throttle_set_frozen());
+        s.pick(&ctx(&w, &[], 0.9));
+        s.on_idle_cycles(&ctx(&w, &[], 0.9), 10);
+        assert!(!s.throttle_set_frozen());
+    }
+
+    #[test]
     fn with_tokens_constructor_clamps() {
         assert_eq!(PcalConfig::with_tokens(0).tokens, 1);
         assert_eq!(PcalConfig::with_tokens(6).tokens, 6);

@@ -98,6 +98,12 @@ impl WarpScheduler for SwlScheduler {
         }
     }
 
+    fn throttle_set_frozen(&self) -> bool {
+        // The admitted set only moves on a recompute, and an empty-ready
+        // `pick` recomputes only while dirty.
+        !self.dirty
+    }
+
     fn on_warp_launched(&mut self, wid: WarpId, _now: Cycle) {
         // Slot reuse across CTA waves: the new occupant has not finished.
         if let Some(f) = self.finished.get_mut(wid as usize) {
@@ -191,6 +197,21 @@ mod tests {
         s.pick(&ctx(&w, &[1, 2, 3]));
         assert!(!s.is_throttled(2));
         assert!(s.is_throttled(3));
+    }
+
+    #[test]
+    fn throttle_set_is_frozen_only_once_clean() {
+        let mut s = SwlScheduler::new(2, 4);
+        let w = warps(4);
+        assert!(!s.throttle_set_frozen(), "dirty until the first recompute");
+        s.pick(&ctx(&w, &[]));
+        assert!(s.throttle_set_frozen());
+        s.on_warp_finished(0, 0);
+        assert!(!s.throttle_set_frozen(), "a finish re-admits warps");
+        s.on_idle_cycles(&ctx(&w, &[]), 3);
+        assert!(s.throttle_set_frozen());
+        s.on_warp_launched(0, 0);
+        assert!(!s.throttle_set_frozen(), "a launch re-admits warps");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use ciao_harness::runner::{RunScale, Runner};
 use ciao_harness::schedulers::SchedulerKind;
-use ciao_workloads::Mix;
-use gpu_sim::{BackendKind, DispatchPolicy, ObsLevel, ObsReport, SimResult};
+use ciao_workloads::{Benchmark, Mix};
+use gpu_sim::{BackendKind, DispatchPolicy, GpuConfig, ObsLevel, ObsReport, SimResult};
 use serde::Value;
 
 /// The reference observed co-run: the Tiny cache-vs-stream mix on a 15-SM
@@ -69,6 +69,35 @@ fn observation_never_perturbs_the_simulation() {
 }
 
 /// Collects the string value at `key` of a JSON object, if present.
+#[test]
+fn throttle_skip_counter_is_engine_only_and_counts_the_stall() {
+    // KMN under Best-SWL deadlocks at a barrier with ready warps the static
+    // limit never admits; the event mode skips that stall in closed form and
+    // says so in an engine metric the reference mode leaves at 0.
+    let run = |backend| {
+        let mut config = GpuConfig::gtx480();
+        config.max_cycles = Some(300_000);
+        Runner::new(RunScale::Quick)
+            .with_config(config)
+            .with_backend(backend)
+            .with_obs(ObsLevel::Metrics)
+            .run_one_observed(Benchmark::Kmn, SchedulerKind::BestSwl)
+    };
+    let name = "engine/throttle-skipped-cycles";
+    let (res_epoch, rep_epoch) = run(BackendKind::Epoch);
+    let (res_event, rep_event) = run(BackendKind::Event);
+    assert_eq!(res_epoch.cycles, 300_000, "KMN/Best-SWL stalls until the cycle cap");
+    assert_eq!(rep_epoch.metrics.counter(name, None), 0);
+    let skipped = rep_event.metrics.counter(name, None);
+    assert!(skipped > 0 && skipped <= res_event.stats.throttle_only_cycles);
+    assert!(rep_event.metrics_json_full().contains(name));
+    assert!(
+        !rep_event.metrics_json().contains(name),
+        "engine metrics stay out of the canonical export"
+    );
+    assert_eq!(rep_epoch.metrics_json(), rep_event.metrics_json());
+}
+
 fn str_field<'v>(obj: &'v Value, key: &str) -> Option<&'v str> {
     match obj.get(key) {
         Some(Value::Str(s)) => Some(s.as_str()),

@@ -42,6 +42,34 @@ fn arbitrary_kernel(
     }))
 }
 
+/// A kernel whose warps all meet at one CTA barrier halfway through their
+/// programs. With more warps per CTA than Best-SWL admits (SYRK's profiled
+/// limit is 6) the admitted warps wait at the barrier for warps that are
+/// never admitted — the throttle stall of KMN, Kmeans and II under Best-SWL.
+fn barrier_kernel(ctas: usize, warps_per_cta: usize, ops: usize, seed: u64) -> Box<dyn Kernel> {
+    let info = KernelInfo {
+        name: format!("prop-barrier-{seed}"),
+        num_ctas: ctas,
+        warps_per_cta,
+        shared_mem_per_cta: 0,
+    };
+    Box::new(ClosureKernel::new(info, move |cta, w| {
+        let mut v = Vec::with_capacity(ops + 1);
+        for i in 0..ops {
+            if i == ops / 2 {
+                v.push(WarpOp::Barrier);
+            }
+            if i % 2 == 0 {
+                let addr = (1 << 24) + ((seed + cta as u64 * 64 + w as u64 * 8 + i as u64) * 128);
+                v.push(WarpOp::coalesced_load(addr));
+            } else {
+                v.push(WarpOp::Compute { cycles: 1 + (i as u32 % 4) });
+            }
+        }
+        Box::new(VecProgram::new(v))
+    }))
+}
+
 fn run_with(kernel: Box<dyn Kernel>, sched: SchedulerKind) -> SimResult {
     let config = GpuConfig::gtx480().with_max_instructions(20_000).with_sample_interval(1_000);
     let sim = Simulator::new(config.clone());
@@ -103,6 +131,17 @@ fn run_chip(
 ) -> SimResult {
     let config =
         GpuConfig::gtx480().with_max_instructions(40_000).with_sample_interval(sample_interval);
+    run_chip_with(kernel, sched, backend, sms, config)
+}
+
+/// [`run_chip`] under an explicit machine configuration.
+fn run_chip_with(
+    kernel: Box<dyn Kernel>,
+    sched: SchedulerKind,
+    backend: gpu_sim::BackendKind,
+    sms: usize,
+    config: GpuConfig,
+) -> SimResult {
     let sim = Simulator::new(config.clone());
     sim.execute(
         SimRequest::kernel(std::sync::Arc::from(kernel)).num_sms(sms).backend(backend),
@@ -126,7 +165,9 @@ proptest! {
     /// under both timing modes for each scheduler family (CCWS score
     /// decay, SWL recompute, statPCAL utilization tracking, CIAO's
     /// throttle/redirect fixed point) proves the equivalence end-to-end:
-    /// any divergence shows up as a differing serialised result.
+    /// any divergence shows up as a differing serialised result. The barrier
+    /// kernel adds a throttle stall — ready warps held back by a frozen
+    /// throttle set — which the event mode also skips in closed form.
     #[test]
     fn closed_form_idle_accounting_matches_per_cycle_for_every_scheduler(
         ctas in 1usize..5,
@@ -134,6 +175,7 @@ proptest! {
         ops in 8usize..48,
         mem_every in 1usize..4,
         seed in 0u64..1000,
+        barrier_warps in 7usize..10,
     ) {
         for sched in [SchedulerKind::Ccws, SchedulerKind::BestSwl,
                       SchedulerKind::StatPcal, SchedulerKind::CiaoT] {
@@ -144,6 +186,24 @@ proptest! {
                 normalized_json(epoch),
                 normalized_json(event),
                 "event mode diverged from the reference mode under {:?}",
+                sched
+            );
+        }
+        let mut capped = GpuConfig::gtx480().with_max_instructions(40_000).with_sample_interval(1_000);
+        capped.max_cycles = Some(30_000);
+        for sched in [SchedulerKind::Ccws, SchedulerKind::BestSwl,
+                      SchedulerKind::StatPcal, SchedulerKind::CiaoT] {
+            let kernel = || barrier_kernel(ctas, barrier_warps, ops, seed);
+            let epoch = run_chip_with(kernel(), sched, gpu_sim::BackendKind::Epoch, 2, capped.clone());
+            let event = run_chip_with(kernel(), sched, gpu_sim::BackendKind::Event, 2, capped.clone());
+            if sched == SchedulerKind::BestSwl {
+                prop_assert!(epoch.capped && epoch.cycles == 30_000,
+                    "Best-SWL must stall at the barrier until the cycle cap");
+            }
+            prop_assert_eq!(
+                normalized_json(epoch),
+                normalized_json(event),
+                "event mode diverged from the reference mode under {:?} at a barrier",
                 sched
             );
         }
