@@ -392,21 +392,23 @@ impl Sm {
         {
             return None;
         }
-        // Asked once, at the first ready warp and before any `is_throttled`
-        // call, so a scheduler that never freezes pays one cheap call.
+        // Asked once, before any `is_throttled` call, and only once a ready
+        // warp could be blocked at all, so a scheduler that never freezes
+        // pays at most one cheap call.
         let mut frozen = None;
         for w in &self.warps {
             if w.is_finished() || !w.is_ready(now) {
                 continue;
             }
-            if !*frozen.get_or_insert_with(|| self.scheduler.throttle_set_frozen()) {
-                return None;
-            }
             // Only an already-fetched op can be tested: fetching one here
-            // would advance the program (and may reveal its end).
-            match w.pending() {
-                Some(op) if throttle_blocks(self.scheduler.as_ref(), w.id, op) => {}
-                _ => return None,
+            // would advance the program (and may reveal its end). A barrier
+            // is never blocked, so it vetoes without asking the scheduler.
+            let op = w.pending()?;
+            if matches!(op, WarpOp::Barrier)
+                || !*frozen.get_or_insert_with(|| self.scheduler.throttle_set_frozen())
+                || !throttle_blocks(self.scheduler.as_ref(), w.id, op)
+            {
+                return None;
             }
         }
         if let Some(&Reverse((when, _))) = self.pending.peek() {
